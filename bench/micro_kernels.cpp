@@ -3,6 +3,9 @@
 // transforms, and the intra-rank thread-count sweeps. These measure *this
 // machine's* kernels (wall time), not the simulated GPUs.
 //
+// BM_GemmGcnShapes times the forward, dW and dX GEMMs of one GCN layer at
+// full products-proxy shard size on 4 threads.
+//
 // The thread sweeps (BM_SpmmRmatThreads / BM_GemmThreads) run the threaded
 // engine at 1/2/4/8 threads on an RMAT power-law graph and report
 // `speedup_vs_serial`, the ratio against a one-shot measurement of the
@@ -182,6 +185,50 @@ void BM_GemmThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
+/// The three GEMMs of one GCN layer over a full products-proxy shard
+/// (131072 rows, d_in x d_out) on 4 kernel threads: forward Q = H W (NN),
+/// weight gradient dW = H^T dQ (TN: k = 131072, m = d_in) and input gradient
+/// dX = dQ W^T (NT). Args: d_in, d_out, op (0 fwd, 1 dW, 2 dX). `best_s` is
+/// the fastest iteration; CI gates dW's best_s against fwd's at the same
+/// shape (tools/perf_smoke_thresholds.json, gemm_gcn_shapes), since all three
+/// do the same FLOPs and dW used to run on one or two cores.
+void BM_GemmGcnShapes(benchmark::State& state) {
+  constexpr std::int64_t kRows = 131072;
+  const std::int64_t din = state.range(0);
+  const std::int64_t dout = state.range(1);
+  const auto op = state.range(2);
+  using plexus::dense::Trans;
+  const auto h = make_dense(kRows, din);
+  const auto w = make_dense(din, dout);
+  const auto dq = make_dense(kRows, dout);
+  plexus::dense::Matrix out = op == 0   ? plexus::dense::Matrix(kRows, dout)
+                              : op == 1 ? plexus::dense::Matrix(din, dout)
+                                        : plexus::dense::Matrix(kRows, din);
+  plexus::util::ScopedIntraRankThreads scope(4);
+  double best_iter = std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    if (op == 0) {
+      plexus::dense::gemm(Trans::N, Trans::N, 1.0f, h, w, 0.0f, out);
+    } else if (op == 1) {
+      plexus::dense::gemm(Trans::T, Trans::N, 1.0f, h, dq, 0.0f, out);
+    } else {
+      plexus::dense::gemm(Trans::N, Trans::T, 1.0f, dq, w, 0.0f, out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    best_iter = std::min(
+        best_iter, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kRows * din * dout);
+  state.SetLabel(op == 0 ? "fwd NN" : op == 1 ? "dW TN" : "dX NT");
+  state.counters["best_s"] = best_iter;
+}
+BENCHMARK(BM_GemmGcnShapes)
+    ->ArgsProduct({{128}, {47}, {0, 1, 2}})
+    ->ArgsProduct({{100}, {128}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // SIMD-vs-scalar kernel speedups, gated by CI's perf-smoke job. The
 // denominator is the *pinned* scalar table — kernels(Target::Scalar), the
@@ -228,13 +275,19 @@ void BM_SpmmSimdVsScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmSimdVsScalar)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-/// Min-of-three wall time of one full-range GEMM accumulate tile of `k` on
-/// the kGemmSweepN operands.
+/// Min-of-three wall time of `k`'s GEMM register tile swept over the
+/// kGemmSweepN operands (C = A B, one tile per call, one k pass), so the
+/// ratio isolates the tile itself: no threads, no panels.
 double gemm_kernel_seconds(const plexus::simd::Kernels& k, const plexus::dense::Matrix& a,
                            const plexus::dense::Matrix& b, plexus::dense::Matrix& c) {
   const std::int64_t n = kGemmSweepN;
   const auto run = [&] {
-    k.gemm_tile(a.data(), n, b.data(), n, c.data(), n, 0, n, 0, n, n, 1.0f);
+    for (std::int64_t i0 = 0; i0 < n; i0 += k.gemm_mr) {
+      for (std::int64_t j0 = 0; j0 < n; j0 += k.gemm_nr) {
+        k.gemm_tile(a.row(i0), n, 1, b.data() + j0, n, c.row(i0) + j0, n,
+                    std::min(k.gemm_mr, n - i0), std::min(k.gemm_nr, n - j0), n, 1.0f, 0.0f);
+      }
+    }
   };
   run();
   double best = std::numeric_limits<double>::infinity();

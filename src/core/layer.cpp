@@ -555,16 +555,17 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
   dense::Matrix w_block;
   comm::CommHandle w_gather = igathered_weights(ctx, w_block);
 
-  // dQ = dF_out (last layer: loss grad) or dF_out ⊙ relu'(Q) (eq. 2.4).
-  dense::Matrix dq(rows_r_, dout_p_);
-  if (last) {
-    dq = df_out;
-  } else {
-    dense::relu_backward(q_pre_, df_out, dq);
-    const double t = sim::elementwise_time(m, dq.size(), 3.0);
+  // dQ = dF_out (last layer: the loss grad, read in place) or
+  // dF_out ⊙ relu'(Q) (eq. 2.4).
+  dense::Matrix relu_grad;
+  if (!last) {
+    relu_grad = dense::Matrix(rows_r_, dout_p_);
+    dense::relu_backward(q_pre_, df_out, relu_grad);
+    const double t = sim::elementwise_time(m, relu_grad.size(), 3.0);
     ctx.comm.charge_compute(t);
     timers.elementwise += t;
   }
+  const dense::Matrix& dq = last ? df_out : relu_grad;
 
   // dW = H^T dQ (eq. 2.5), reduce-scattered over the R group (Alg. 2 line 3).
   // Section 5.3 tuning replaces the slow transpose-first GEMM by the reversed

@@ -13,32 +13,12 @@ std::int64_t op_cols(const Matrix& a, Trans t) { return t == Trans::N ? a.cols()
 
 namespace {
 
-/// Core kernel for C += alpha * A * B with A (m*k), B (k*n), both non-transposed,
-/// blocked for L1/L2 residency. Operands that arrive transposed are materialised
-/// by the caller; shard sizes in the simulator are small enough that the copy is
-/// cheaper than a strided kernel. The row space is split across the intra-rank
-/// engine; each output row keeps the serial i-k-j summation order, and the
-/// runtime-dispatched SIMD tile (util/simd.hpp) vectorizes only over j, so
-/// results are bitwise-identical for any thread count and any SIMD target.
-void gemm_nn_accumulate(float alpha, const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::int64_t m = a.rows();
-  const std::int64_t k = a.cols();
-  const std::int64_t n = b.cols();
-  constexpr std::int64_t kBlockI = 64;
-  constexpr std::int64_t kBlockK = 128;
-  const auto& kernels = simd::active_kernels();
-  const auto row_range = [&](std::int64_t m0, std::int64_t m1) {
-    for (std::int64_t i0 = m0; i0 < m1; i0 += kBlockI) {
-      const std::int64_t i1 = std::min(m1, i0 + kBlockI);
-      for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-        const std::int64_t k1 = std::min(k, k0 + kBlockK);
-        kernels.gemm_tile(a.data(), a.cols(), b.data(), b.cols(), c.data(), c.cols(), i0, i1, k0,
-                          k1, n, alpha);
-      }
-    }
-  };
-  util::parallel_for(0, m, row_range, /*work_estimate=*/m * k * n);
-}
+/// Depth of one k panel. Between panels each C tile goes back to memory and
+/// is reloaded, so the op(A) and op(B) rows of a panel stay cache-resident
+/// while a thread walks its tiles: for the tall dW shape (k = N, m, n <= 128)
+/// a panel is at most 512 * 256 * 4 B = 512 KiB, well inside a 1-2 MiB L2.
+/// Reloading a float tile is exact, so the depth never changes a result.
+constexpr std::int64_t kPanelK = 512;
 
 }  // namespace
 
@@ -49,26 +29,43 @@ void gemm(Trans ta, Trans tb, float alpha, const Matrix& a, const Matrix& b, flo
   const std::int64_t n = op_cols(b, tb);
   PLEXUS_CHECK(op_rows(b, tb) == k, "gemm: inner dimension mismatch");
   PLEXUS_CHECK(c.rows() == m && c.cols() == n, "gemm: output shape mismatch");
+  if (m == 0 || n == 0) return;
 
-  if (beta == 0.0f) {
-    c.zero();
-  } else if (beta != 1.0f) {
-    for (float& v : c.flat()) v *= beta;
-  }
+  // op(A)(i, kk) = a_data[i * a_rs + kk * a_ks]: read in place in both modes.
+  const std::int64_t a_rs = ta == Trans::N ? a.cols() : 1;
+  const std::int64_t a_ks = ta == Trans::N ? 1 : a.cols();
+  // The tile reads op(B) rows with unit column stride. A transposed B is the
+  // small weight operand (dX = dQ W^T), so it is packed once.
+  Matrix b_packed;
+  if (tb == Trans::T) b_packed = b.transposed();
+  const Matrix& bn = tb == Trans::T ? b_packed : b;
 
-  const Matrix* a_eff = &a;
-  const Matrix* b_eff = &b;
-  Matrix a_t;
-  Matrix b_t;
-  if (ta == Trans::T) {
-    a_t = a.transposed();
-    a_eff = &a_t;
-  }
-  if (tb == Trans::T) {
-    b_t = b.transposed();
-    b_eff = &b_t;
-  }
-  gemm_nn_accumulate(alpha, *a_eff, *b_eff, c);
+  // Work is split over output tiles only: each C element is owned by one
+  // tile, and each tile walks k ascending from the beta-scaled start, so the
+  // result is bitwise-independent of the thread count and the SIMD target.
+  const auto& kernels = simd::active_kernels();
+  const std::int64_t mr = kernels.gemm_mr;
+  const std::int64_t nr = kernels.gemm_nr;
+  const std::int64_t col_tiles = (n + nr - 1) / nr;
+  const std::int64_t tiles = (m + mr - 1) / mr * col_tiles;
+  const auto tile_range = [&](std::int64_t t0, std::int64_t t1) {
+    std::int64_t k0 = 0;
+    do {  // at least one pass, so k == 0 still applies beta
+      const std::int64_t kc = std::min(kPanelK, k - k0);
+      const float tile_beta = k0 == 0 ? beta : 1.0f;
+      for (std::int64_t t = t0; t < t1; ++t) {
+        const std::int64_t i0 = t / col_tiles * mr;
+        const std::int64_t j0 = t % col_tiles * nr;
+        // With k == 0 the operands are empty and the tile only applies beta.
+        const float* at = kc > 0 ? a.data() + i0 * a_rs + k0 * a_ks : nullptr;
+        const float* bt = kc > 0 ? bn.data() + k0 * bn.cols() + j0 : nullptr;
+        kernels.gemm_tile(at, a_rs, a_ks, bt, bn.cols(), c.row(i0) + j0, c.cols(),
+                          std::min(mr, m - i0), std::min(nr, n - j0), kc, alpha, tile_beta);
+      }
+      k0 += kc;
+    } while (k0 < k);
+  };
+  util::parallel_for(0, tiles, tile_range, /*work_estimate=*/m * n * std::max<std::int64_t>(k, 1));
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b, Trans ta, Trans tb) {

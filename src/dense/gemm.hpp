@@ -20,7 +20,12 @@ std::int64_t op_rows(const Matrix& a, Trans t);
 std::int64_t op_cols(const Matrix& a, Trans t);
 
 /// C = alpha * op(A) * op(B) + beta * C. C must be preshaped to
-/// (op_rows(A), op_cols(B)). Cache-blocked i-k-j kernel.
+/// (op_rows(A), op_cols(B)); beta == 0 overwrites C without reading it.
+/// A transposed A is read in place through strides; a transposed B (the
+/// small weight operand) is packed once. Threads split the output into
+/// register tiles (util/simd.hpp, Kernels::gemm_tile), each walking k in
+/// ascending cache-sized panels, so every element sees one fixed order —
+/// bitwise-identical for any thread count and SIMD target.
 void gemm(Trans ta, Trans tb, float alpha, const Matrix& a, const Matrix& b, float beta,
           Matrix& c);
 

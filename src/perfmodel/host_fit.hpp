@@ -33,7 +33,7 @@ struct HostCalibration {
   std::string simd;              ///< simd::target_name(simd::active_target())
   double gemm_nn_flops = 0.0;    ///< fp32 flop/s, C = A B
   double gemm_nt_flops = 0.0;    ///< ... C = A B^T
-  double gemm_tn_flops = 0.0;    ///< ... C = A^T B (slowest mode)
+  double gemm_tn_flops = 0.0;    ///< ... C = A^T B
   double spmm_flops = 0.0;       ///< fp32 flop/s of the CSR row kernel
   double stream_bytes = 0.0;     ///< streaming read+write bytes/s
 };

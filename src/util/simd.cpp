@@ -77,7 +77,7 @@ PLEXUS_DEFINE_ELEMENTWISE(avx512, __attribute__((target("avx512f"))))
 
 // ---------------------------------------------------------------------------
 // Row kernels: the axpy `c[j] += v * b[j]` over the feature dimension is the
-// inner loop of both SpMM and the GEMM accumulate tile. The vector bodies use
+// inner loop of SpMM (and, register-blocked, of the GEMM tile). The vector bodies use
 // separate mul + add intrinsics (never FMA — one rounding per operation, same
 // as the scalar expression) and handle the tail with scalar ops (AVX2) or a
 // masked lane set (AVX-512), so every feature width is bitwise-identical to
@@ -98,19 +98,36 @@ PLEXUS_SCALAR_ATTR void spmm_rows_scalar(const std::int64_t* rp, const std::int3
   }
 }
 
-PLEXUS_SCALAR_ATTR void gemm_tile_scalar(const float* a, std::int64_t lda, const float* b,
-                                         std::int64_t ldb, float* c, std::int64_t ldc,
-                                         std::int64_t i0, std::int64_t i1, std::int64_t k0,
-                                         std::int64_t k1, std::int64_t n, float alpha) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * ldb;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+// GEMM micro-tile (see Kernels::gemm_tile). Every target keeps one C tile in
+// registers across the whole k range and updates each element in the same
+// order: kk ascending, `c + (alpha * a) * b` as one multiply and one add, and
+// no update at all where alpha * a == 0 (a branch in the scalar tile, a
+// masked add or blend in the vector tiles). Targets differ only in the tile
+// shape, so their results are bitwise-identical.
+constexpr std::int64_t kScalarMr = 4;
+constexpr std::int64_t kScalarNr = 4;
+
+PLEXUS_SCALAR_ATTR void gemm_tile_scalar(const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                                         const float* b, std::int64_t ldb, float* c,
+                                         std::int64_t ldc, std::int64_t rows, std::int64_t cols,
+                                         std::int64_t kc, float alpha, float beta) {
+  float acc[kScalarMr][kScalarNr] = {};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const float cv = beta == 0.0f ? 0.0f : c[r * ldc + j];
+      acc[r][j] = beta == 0.0f || beta == 1.0f ? cv : cv * beta;
     }
+  }
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float* brow = b + kk * ldb;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float av = alpha * a[r * a_rs + kk * a_ks];
+      if (av == 0.0f) continue;
+      for (std::int64_t j = 0; j < cols; ++j) acc[r][j] += av * brow[j];
+    }
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < cols; ++j) c[r * ldc + j] = acc[r][j];
   }
 }
 
@@ -171,72 +188,178 @@ __attribute__((target("avx512f"))) void spmm_rows_avx512(const std::int64_t* rp,
   }
 }
 
-__attribute__((target("avx2"))) void gemm_tile_avx2(const float* a, std::int64_t lda,
-                                                    const float* b, std::int64_t ldb, float* c,
-                                                    std::int64_t ldc, std::int64_t i0,
-                                                    std::int64_t i1, std::int64_t k0,
-                                                    std::int64_t k1, std::int64_t n,
-                                                    float alpha) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * ldb;
-      const __m256 vv = _mm256_set1_ps(av);
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 bj = _mm256_loadu_ps(brow + j);
-        const __m256 cj = _mm256_loadu_ps(crow + j);
-        _mm256_storeu_ps(crow + j, _mm256_add_ps(cj, _mm256_mul_ps(vv, bj)));
+// The vector tiles are 8 x 32 (AVX-512: 16 of 32 zmm hold the tile) and
+// 4 x 16 (AVX2: 8 of 16 ymm, leaving room for the blend temporaries). A tile
+// narrower than one vector-pair drops to NV = 1; column tails are masked
+// loads/stores. Rows past `rows` alias the last real row: they are
+// computed, never stored, so full and short tiles share one unrolled body.
+// The two layouts, `a_rs == 1` (op(A) = A^T, the dW GEMM) and `a_ks == 1`
+// (op(A) = A), are peeled so the unit stride is a compile-time constant.
+
+template <int NV>
+__attribute__((target("avx2"), always_inline)) inline void gemm_tile_avx2_body(
+    const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols, std::int64_t kc,
+    float alpha, float beta) {
+  constexpr int kMr = 4;
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  __m256i mask[NV];
+  for (int v = 0; v < NV; ++v) {
+    mask[v] = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols) - 8 * v), lane);
+  }
+  std::int64_t a_off[kMr];
+  float* crow[kMr];
+  for (int r = 0; r < kMr; ++r) {
+    const std::int64_t rr = r < rows ? r : rows - 1;
+    a_off[r] = rr * a_rs;
+    crow[r] = c + rr * ldc;
+  }
+  __m256 acc[kMr][NV];
+  const __m256 vbeta = _mm256_set1_ps(beta);
+  for (int r = 0; r < kMr; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      if (beta == 0.0f) {
+        acc[r][v] = _mm256_setzero_ps();
+      } else {
+        const __m256 cv = _mm256_maskload_ps(crow[r] + 8 * v, mask[v]);
+        acc[r][v] = beta == 1.0f ? cv : _mm256_mul_ps(cv, vbeta);
       }
-      for (; j < n; ++j) crow[j] += av * brow[j];
     }
+  }
+  const __m256 valpha = _mm256_set1_ps(alpha);
+  const __m256 zero = _mm256_setzero_ps();
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float* ak = a + kk * a_ks;
+    const float* bk = b + kk * ldb;
+    __m256 bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_maskload_ps(bk + 8 * v, mask[v]);
+#pragma GCC unroll 8
+    for (int r = 0; r < kMr; ++r) {
+      const __m256 av = _mm256_mul_ps(valpha, _mm256_broadcast_ss(ak + a_off[r]));
+      const __m256 live = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+      for (int v = 0; v < NV; ++v) {
+        const __m256 sum = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+        acc[r][v] = _mm256_blendv_ps(acc[r][v], sum, live);
+      }
+    }
+  }
+  for (int r = 0; r < kMr; ++r) {
+    if (r >= rows) break;
+    for (int v = 0; v < NV; ++v) _mm256_maskstore_ps(crow[r] + 8 * v, mask[v], acc[r][v]);
   }
 }
 
-__attribute__((target("avx512f"))) void gemm_tile_avx512(const float* a, std::int64_t lda,
-                                                         const float* b, std::int64_t ldb,
-                                                         float* c, std::int64_t ldc,
-                                                         std::int64_t i0, std::int64_t i1,
-                                                         std::int64_t k0, std::int64_t k1,
-                                                         std::int64_t n, float alpha) {
-  const std::int64_t full = n & ~static_cast<std::int64_t>(15);
-  const __mmask16 tail =
-      static_cast<__mmask16>((1u << static_cast<unsigned>(n - full)) - 1u);
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * ldb;
-      const __m512 vv = _mm512_set1_ps(av);
-      std::int64_t j = 0;
-      for (; j < full; j += 16) {
-        const __m512 bj = _mm512_loadu_ps(brow + j);
-        const __m512 cj = _mm512_loadu_ps(crow + j);
-        _mm512_storeu_ps(crow + j, _mm512_add_ps(cj, _mm512_mul_ps(vv, bj)));
-      }
-      if (tail != 0) {
-        const __m512 bj = _mm512_maskz_loadu_ps(tail, brow + j);
-        const __m512 cj = _mm512_maskz_loadu_ps(tail, crow + j);
-        _mm512_mask_storeu_ps(crow + j, tail, _mm512_add_ps(cj, _mm512_mul_ps(vv, bj)));
+template <int NV>
+__attribute__((target("avx2"))) void gemm_tile_avx2_nv(
+    const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols, std::int64_t kc,
+    float alpha, float beta) {
+  if (a_rs == 1) {
+    gemm_tile_avx2_body<NV>(a, 1, a_ks, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
+  } else {
+    gemm_tile_avx2_body<NV>(a, a_rs, 1, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
+  }
+}
+
+__attribute__((target("avx2"))) void gemm_tile_avx2(
+    const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols, std::int64_t kc,
+    float alpha, float beta) {
+  if (cols > 8) {
+    gemm_tile_avx2_nv<2>(a, a_rs, a_ks, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
+  } else {
+    gemm_tile_avx2_nv<1>(a, a_rs, a_ks, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
+  }
+}
+
+template <int NV>
+__attribute__((target("avx512f"), always_inline)) inline void gemm_tile_avx512_body(
+    const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols, std::int64_t kc,
+    float alpha, float beta) {
+  constexpr int kMr = 8;
+  __mmask16 mask[NV];
+  for (int v = 0; v < NV; ++v) {
+    const std::int64_t left = cols - 16 * v;
+    mask[v] = left >= 16 ? static_cast<__mmask16>(0xffffu)
+                         : static_cast<__mmask16>((1u << static_cast<unsigned>(left)) - 1u);
+  }
+  std::int64_t a_off[kMr];
+  float* crow[kMr];
+  for (int r = 0; r < kMr; ++r) {
+    const std::int64_t rr = r < rows ? r : rows - 1;
+    a_off[r] = rr * a_rs;
+    crow[r] = c + rr * ldc;
+  }
+  __m512 acc[kMr][NV];
+  const __m512 vbeta = _mm512_set1_ps(beta);
+  for (int r = 0; r < kMr; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      if (beta == 0.0f) {
+        acc[r][v] = _mm512_setzero_ps();
+      } else {
+        const __m512 cv = _mm512_maskz_loadu_ps(mask[v], crow[r] + 16 * v);
+        acc[r][v] = beta == 1.0f ? cv : _mm512_mul_ps(cv, vbeta);
       }
     }
+  }
+  const __m512 valpha = _mm512_set1_ps(alpha);
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float* ak = a + kk * a_ks;
+    const float* bk = b + kk * ldb;
+    __m512 bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = _mm512_maskz_loadu_ps(mask[v], bk + 16 * v);
+#pragma GCC unroll 8
+    for (int r = 0; r < kMr; ++r) {
+      const __m512 av = _mm512_mul_ps(valpha, _mm512_set1_ps(ak[a_off[r]]));
+      const __mmask16 live = _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm512_mask_add_ps(acc[r][v], live, acc[r][v], _mm512_mul_ps(av, bv[v]));
+      }
+    }
+  }
+  for (int r = 0; r < kMr; ++r) {
+    if (r >= rows) break;
+    for (int v = 0; v < NV; ++v) _mm512_mask_storeu_ps(crow[r] + 16 * v, mask[v], acc[r][v]);
+  }
+}
+
+template <int NV>
+__attribute__((target("avx512f"))) void gemm_tile_avx512_nv(
+    const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols, std::int64_t kc,
+    float alpha, float beta) {
+  if (a_rs == 1) {
+    gemm_tile_avx512_body<NV>(a, 1, a_ks, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
+  } else {
+    gemm_tile_avx512_body<NV>(a, a_rs, 1, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
+  }
+}
+
+__attribute__((target("avx512f"))) void gemm_tile_avx512(
+    const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols, std::int64_t kc,
+    float alpha, float beta) {
+  if (cols > 16) {
+    gemm_tile_avx512_nv<2>(a, a_rs, a_ks, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
+  } else {
+    gemm_tile_avx512_nv<1>(a, a_rs, a_ks, b, ldb, c, ldc, rows, cols, kc, alpha, beta);
   }
 }
 
 #endif  // PLEXUS_SIMD_X86
 
-constexpr Kernels kScalarKernels{spmm_rows_scalar, gemm_tile_scalar, relu_scalar,
-                                 relu_backward_scalar, adam_step_scalar};
+constexpr Kernels kScalarKernels{spmm_rows_scalar,     gemm_tile_scalar, kScalarMr,
+                                 kScalarNr,            relu_scalar,      relu_backward_scalar,
+                                 adam_step_scalar};
 #if PLEXUS_SIMD_X86
-constexpr Kernels kAvx2Kernels{spmm_rows_avx2, gemm_tile_avx2, relu_avx2, relu_backward_avx2,
+constexpr Kernels kAvx2Kernels{spmm_rows_avx2, gemm_tile_avx2, 4,
+                               16,             relu_avx2,      relu_backward_avx2,
                                adam_step_avx2};
-constexpr Kernels kAvx512Kernels{spmm_rows_avx512, gemm_tile_avx512, relu_avx512,
-                                 relu_backward_avx512, adam_step_avx512};
+constexpr Kernels kAvx512Kernels{spmm_rows_avx512, gemm_tile_avx512, 8,
+                                 32,               relu_avx512,      relu_backward_avx512,
+                                 adam_step_avx512};
 #endif
 
 Target best_supported() {

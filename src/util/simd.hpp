@@ -52,12 +52,22 @@ struct Kernels {
   void (*spmm_rows)(const std::int64_t* rp, const std::int32_t* ci, const float* va,
                     const float* b, std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t r0,
                     std::int64_t r1, std::int64_t n, bool accumulate);
-  /// GEMM accumulate tile: C[i,:] += alpha * A[i,kk] * B[kk,:] for
-  /// i in [i0, i1), kk in [k0, k1), preserving the `alpha * a == 0` row
-  /// skip of the serial kernel (a skipped term adds nothing, not +0.0).
-  void (*gemm_tile)(const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                    std::int64_t ldc, std::int64_t i0, std::int64_t i1, std::int64_t k0,
-                    std::int64_t k1, std::int64_t n, float alpha);
+  /// GEMM register micro-tile, at most `gemm_mr` x `gemm_nr` of C:
+  ///   C[i, j] = beta * C[i, j];  then for kk = 0 .. kc-1 ascending, unless
+  ///   av = alpha * A(i, kk) == 0:  C[i, j] = C[i, j] + av * B[kk, j]
+  /// for i < rows, j < cols. A(i, kk) is read in place at
+  /// `a[i * a_rs + kk * a_ks]` with one of the two strides 1 (A row-major or
+  /// column-major), so a transposed A needs no copy; B rows are `ldb` apart
+  /// with unit column stride. beta == 0 starts from +0 without
+  /// reading C (garbage and NaN are overwritten); beta == 1 loads C as is.
+  /// A skipped term adds nothing, not +0.0, which only matters for -0 and
+  /// non-finite B. The tile lives in registers for the whole call.
+  void (*gemm_tile)(const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b,
+                    std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t rows,
+                    std::int64_t cols, std::int64_t kc, float alpha, float beta);
+  /// Largest `rows` / `cols` a gemm_tile call accepts: the register tile.
+  std::int64_t gemm_mr;
+  std::int64_t gemm_nr;
   /// y[i] = x[i] > 0 ? x[i] : 0.
   void (*relu)(const float* x, float* y, std::int64_t n);
   /// dx[i] = q[i] > 0 ? dy[i] : 0.

@@ -10,6 +10,7 @@
 // error everywhere else (round-to-nearest-even), and sign/inf/NaN handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -128,21 +129,72 @@ TEST(SimdKernels, SpmmRowsMatchesSerialReferenceThroughCsr) {
   }
 }
 
-TEST(SimdKernels, GemmTileBitwiseAcrossTargetsAndWidths) {
-  const std::int64_t m = 5, k = 9;
-  for (const std::int64_t n : kWidths) {
-    auto a = random_floats(static_cast<std::size_t>(m * k), 29);
-    a[3] = 0.0f;  // exercises the alpha * a == 0 row skip
-    const auto b = random_floats(static_cast<std::size_t>(k * n), 31);
-    const auto seed_c = random_floats(static_cast<std::size_t>(m * n), 37);
-    for (const float alpha : {1.0f, -0.75f, 0.0f}) {
-      std::vector<float> want = seed_c;
-      ps::kernels(ps::Target::Scalar)
-          .gemm_tile(a.data(), k, b.data(), n, want.data(), n, 0, m, 2, k, n, alpha);
-      for (const ps::Target t : supported_targets()) {
-        std::vector<float> got = seed_c;
-        ps::kernels(t).gemm_tile(a.data(), k, b.data(), n, got.data(), n, 0, m, 2, k, n, alpha);
-        expect_bitwise_equal(got, want, "gemm_tile", t, n);
+namespace {
+
+/// Covers a rows x cols block of C with `k`'s own register tiles, the way
+/// dense::gemm walks them: every target computes the same product, and the
+/// block edges land on short-row and masked-column tiles of a different
+/// shape per target.
+void gemm_by_tiles(const ps::Kernels& k, const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                   const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
+                   std::int64_t rows, std::int64_t cols, std::int64_t kc, float alpha,
+                   float beta) {
+  for (std::int64_t i0 = 0; i0 < rows; i0 += k.gemm_mr) {
+    for (std::int64_t j0 = 0; j0 < cols; j0 += k.gemm_nr) {
+      k.gemm_tile(a + i0 * a_rs, a_rs, a_ks, b + j0, ldb, c + i0 * ldc + j0, ldc,
+                  std::min(k.gemm_mr, rows - i0), std::min(k.gemm_nr, cols - j0), kc, alpha,
+                  beta);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SimdKernels, GemmTileBitwiseAcrossTargetsOnPartialTiles) {
+  // Row counts around the 4- and 8-row tiles, column counts around the 4-,
+  // 16- and 32-wide tiles (and the 8/16-lane vector tails inside them). C and
+  // B carry 3 columns of padding that no tile may read into C or write.
+  const std::int64_t kc = 13;
+  for (const std::int64_t rows : {1, 3, 4, 5, 8, 9, 13}) {
+    for (const std::int64_t cols : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47}) {
+      const std::int64_t ldb = cols + 3, ldc = cols + 3;
+      auto a = random_floats(static_cast<std::size_t>(rows * kc), 41);
+      for (std::size_t i = 0; i < a.size(); i += 4) a[i] = i % 8 == 0 ? 0.0f : -0.0f;
+      auto b = random_floats(static_cast<std::size_t>(kc * ldb), 43);
+      b[0] = std::numeric_limits<float>::infinity();  // meets a[0] == 0: skipped, not NaN
+      auto seed_c = random_floats(static_cast<std::size_t>(rows * ldc), 47);
+      seed_c[0] = -0.0f;
+      // a_rs / a_ks: A read row-major (op(A) = A) and column-major (A^T).
+      const std::int64_t layouts[][2] = {{kc, 1}, {1, rows}};
+      for (const auto& layout : layouts) {
+        for (const float alpha : {1.0f, -0.75f, 0.0f}) {
+          for (const float beta : {0.0f, 1.0f, 0.5f}) {
+            std::vector<float> want = seed_c;
+            if (beta == 0.0f) {
+              for (std::int64_t r = 0; r < rows; ++r) {
+                for (std::int64_t j = 0; j < cols; ++j) {
+                  want[static_cast<std::size_t>(r * ldc + j)] =
+                      std::numeric_limits<float>::quiet_NaN();
+                }
+              }
+            }
+            const std::vector<float> start = want;
+            gemm_by_tiles(ps::kernels(ps::Target::Scalar), a.data(), layout[0], layout[1],
+                          b.data(), ldb, want.data(), ldc, rows, cols, kc, alpha, beta);
+            for (std::int64_t r = 0; r < rows; ++r) {
+              for (std::int64_t j = cols; j < ldc; ++j) {
+                const auto idx = static_cast<std::size_t>(r * ldc + j);
+                ASSERT_EQ(want[idx], start[idx]) << "scalar tile wrote into C padding";
+              }
+            }
+            for (const ps::Target t : supported_targets()) {
+              std::vector<float> got = start;
+              gemm_by_tiles(ps::kernels(t), a.data(), layout[0], layout[1], b.data(), ldb,
+                            got.data(), ldc, rows, cols, kc, alpha, beta);
+              expect_bitwise_equal(got, want, "gemm_tile", t, rows * 1000 + cols);
+            }
+          }
+        }
       }
     }
   }

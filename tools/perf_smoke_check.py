@@ -25,7 +25,10 @@ SimdVsScalar) and the `simd_speedup` section is checked — the active
 target's `speedup_vs_serial` against the pinned scalar kernel table must
 clear the per-benchmark floor. Those are wall-clock ratios, so the floors
 are far below measured values; they catch the vectorized path silently
-losing to (or dispatching to) the scalar fallback.
+losing to (or dispatching to) the scalar fallback. The same report (filter
+including GcnShapes) feeds the `gemm_gcn_shapes` gate: at each GCN layer
+shape the weight-gradient GEMM (dW = H^T dQ) must take at most
+`max_dw_vs_fwd_ratio` of the forward GEMM's best wall time.
 
 And it can gate the serving stack: pass --serve-report=PATH with a
 bench/micro_serve JSON report and the serve section of the thresholds file
@@ -212,6 +215,30 @@ def check_simd_speedup(counters, thresholds, failures):
             )
 
 
+def check_gemm_shapes(counters, thresholds, failures):
+    gate = thresholds.get("gemm_gcn_shapes")
+    if gate is None:
+        failures.append("thresholds file has no 'gemm_gcn_shapes' section")
+        return
+    max_ratio = gate["max_dw_vs_fwd_ratio"]
+    for pair in gate["pairs"]:
+        fwd = get_counter(counters, pair["fwd"], "best_s", failures)
+        dw = get_counter(counters, pair["dw"], "best_s", failures)
+        if fwd is None or dw is None:
+            continue
+        ratio = dw / fwd if fwd > 0 else float("inf")
+        ok = ratio <= max_ratio
+        print(
+            f"[{'OK' if ok else 'FAIL'}] {pair['dw']}: dW {dw * 1e3:.2f}ms vs fwd "
+            f"{fwd * 1e3:.2f}ms (ratio {ratio:.2f}, limit {max_ratio})"
+        )
+        if not ok:
+            failures.append(
+                f"{pair['dw']}: dW GEMM {dw * 1e3:.2f}ms is {ratio:.2f}x the forward GEMM "
+                f"{fwd * 1e3:.2f}ms at the same shape (limit {max_ratio}x)"
+            )
+
+
 def check_serve(counters, thresholds, failures):
     serve = thresholds.get("serve")
     if serve is None:
@@ -326,7 +353,9 @@ def main():
         check_sparse_bytes(counters, thresholds, failures)
         check_wire_bytes(counters, thresholds, failures)
     if kernels_report is not None:
-        check_simd_speedup(load_counters(kernels_report), thresholds, failures)
+        kernel_counters = load_counters(kernels_report)
+        check_simd_speedup(kernel_counters, thresholds, failures)
+        check_gemm_shapes(kernel_counters, thresholds, failures)
     if serve_report is not None:
         check_serve(load_counters(serve_report), thresholds, failures)
     if streaming_report is not None:
@@ -344,7 +373,10 @@ def main():
             "fixed depth, sparse aggregation moves fewer bytes, and bf16 halves the wire"
         )
     if kernels_report is not None:
-        checked.append("the SIMD kernels beat the pinned scalar fallback")
+        checked.append(
+            "the SIMD kernels beat the pinned scalar fallback and the dW GEMM keeps pace "
+            "with the forward GEMM"
+        )
     if serve_report is not None:
         checked.append("the serving stack sustains the gated QPS within the p99 latency cap")
     if streaming_report is not None:
