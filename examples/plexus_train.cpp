@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   const std::string agg_arg = positional_or(7, "agg");
   if (!agg_arg.empty()) {
     plexus::core::Aggregation a = plexus::core::Aggregation::Dense;
-    if (!plexus::core::aggregation_from_string(agg_arg, a)) {
+    if (!plexus::util::enum_from_string(agg_arg, a)) {
       return fail(args, plexus::util::enum_error<plexus::core::Aggregation>(agg_arg));
     }
     agg = a;
@@ -274,8 +274,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const char* agg_label =
-      agg.has_value() ? plexus::core::aggregation_name(*agg) : "model default";
+  const char* agg_label = agg.has_value() ? plexus::util::enum_name(*agg) : "model default";
   const char* wire_label = plexus::comm::wire_precision_name(wire);
   const char* simd_label = plexus::simd::target_name(plexus::simd::active_target());
 

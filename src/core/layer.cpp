@@ -1,13 +1,11 @@
 #include "core/layer.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <future>
 #include <span>
-#include <string>
 #include <utility>
 
 #include "core/shard_stream.hpp"
@@ -41,27 +39,26 @@ void drain_pipeline(std::deque<comm::CommHandle>& inflight) {
   }
 }
 
+/// Largest block length and nonempty block count of a bounds vector.
+void bounds_shape(const std::vector<std::int64_t>& bounds, std::int64_t* max_rows,
+                  int* nonempty) {
+  *max_rows = 0;
+  *nonempty = 0;
+  for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+    const std::int64_t len = bounds[k + 1] - bounds[k];
+    if (len == 0) continue;
+    ++*nonempty;
+    *max_rows = std::max(*max_rows, len);
+  }
+}
+
 }  // namespace
-
-const char* aggregation_name(Aggregation a) { return util::enum_name(a); }
-
-bool aggregation_from_string(std::string_view s, Aggregation& out) {
-  return util::enum_from_string(s, out);
-}
-
-Aggregation default_aggregation() {
-  const char* s = std::getenv("PLEXUS_AGG");
-  if (s == nullptr || *s == '\0') return Aggregation::Dense;
-  Aggregation a = Aggregation::Dense;
-  if (!aggregation_from_string(s, a)) return Aggregation::Dense;  // malformed: default
-  return a;
-}
 
 std::optional<Aggregation> env_aggregation() {
   const char* s = std::getenv("PLEXUS_AGG");
   if (s == nullptr || *s == '\0') return std::nullopt;
   Aggregation a = Aggregation::Dense;
-  if (!aggregation_from_string(s, a)) return std::nullopt;  // malformed: inherit
+  if (!util::enum_from_string(s, a)) return std::nullopt;  // malformed: inherit
   return a;
 }
 
@@ -133,87 +130,30 @@ comm::CommHandle DistGcnLayer::igathered_weights(sim::RankContext& ctx, dense::M
   return ctx.comm.iall_gather<float>(r_group_, w_slice_, w_block.flat());
 }
 
-dense::Matrix DistGcnLayer::gathered_weights(sim::RankContext& ctx) {
-  dense::Matrix w_block;
-  igathered_weights(ctx, w_block).wait();
-  return w_block;
-}
-
-dense::Matrix DistGcnLayer::gather_weight_block(sim::RankContext& ctx) {
-  return gathered_weights(ctx);
-}
-
-int DistGcnLayer::resolve_depth(sim::RankContext& ctx, const sparse::Csr& a,
-                                const std::vector<std::int64_t>& bounds,
-                                std::int64_t dense_rows, comm::GroupId gid,
-                                comm::Collective op, int* cache) {
-  if (opts_.pipeline_depth > 0) return opts_.pipeline_depth;
-  if (*cache > 0) return *cache;
-  // Adaptive (pipeline_depth == 0): pick the depth from the exact per-block
-  // costs — the fastest block's noise-free SpMM time (noise only slows blocks
-  // down, so this lower-bounds the hiding window) against the largest block's
-  // ring time on this group's links.
-  const int nb = static_cast<int>(bounds.size()) - 1;
-  double t_spmm_min = 0.0;
-  std::int64_t max_rows = 0;
-  bool any = false;
-  for (int k = 0; k < nb; ++k) {
-    const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-    const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-    if (b0 == b1) continue;
-    const sim::SpmmShape shape{a.range_nnz(b0, b1), b1 - b0, dense_rows, din_q_};
-    const double t = sim::spmm_time(*ctx.machine, shape);
-    t_spmm_min = any ? std::min(t_spmm_min, t) : t;
-    max_rows = std::max(max_rows, b1 - b0);
-    any = true;
+int DistGcnLayer::adaptive_depth(sim::RankContext& ctx, const sparse::Csr* a,
+                                 const std::vector<std::int64_t>& bounds,
+                                 std::int64_t dense_rows, double t_other, int nblocks) const {
+  double t_spmm = 0.0;
+  if (a == nullptr) {
+    std::int64_t max_rows = 0;
+    int nonempty = 0;
+    bounds_shape(bounds, &max_rows, &nonempty);
+    const sim::SpmmShape shape{std::max<std::int64_t>(1, splan_->est_nnz / std::max(1, nonempty)),
+                               std::max<std::int64_t>(1, max_rows), dense_rows, din_q_};
+    t_spmm = sim::spmm_time(*ctx.machine, shape);
+  } else {
+    bool any = false;
+    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+      const std::int64_t b0 = bounds[k];
+      const std::int64_t b1 = bounds[k + 1];
+      if (b0 == b1) continue;
+      const sim::SpmmShape shape{a->range_nnz(b0, b1), b1 - b0, dense_rows, din_q_};
+      const double t = sim::spmm_time(*ctx.machine, shape);
+      t_spmm = any ? std::min(t_spmm, t) : t;
+      any = true;
+    }
   }
-  const auto& g = ctx.comm.world().group(gid);
-  // Price what the links actually carry: bf16 wire halves the per-element
-  // volume, shrinking the hiding window and therefore the adaptive depth.
-  const auto eb = static_cast<std::int64_t>(ctx.comm.wire_float_bytes());
-  const double t_ring = comm::collective_time(op, eb * max_rows * din_q_, g.size(), g.link,
-                                              g.a2a_distance_penalty);
-  *cache = comm::choose_pipeline_depth(t_spmm_min, t_ring, nb);
-  return *cache;
-}
-
-namespace {
-
-/// Largest block length and nonempty block count of a bounds vector.
-void bounds_shape(const std::vector<std::int64_t>& bounds, std::int64_t* max_rows,
-                  int* nonempty) {
-  *max_rows = 0;
-  *nonempty = 0;
-  for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-    const std::int64_t len = bounds[k + 1] - bounds[k];
-    if (len == 0) continue;
-    ++*nonempty;
-    *max_rows = std::max(*max_rows, len);
-  }
-}
-
-}  // namespace
-
-int DistGcnLayer::resolve_depth_streamed(sim::RankContext& ctx,
-                                         const std::vector<std::int64_t>& bounds,
-                                         std::int64_t dense_rows, comm::GroupId gid,
-                                         comm::Collective op, int* cache) {
-  if (opts_.pipeline_depth > 0) return opts_.pipeline_depth;
-  if (*cache > 0) return *cache;
-  const int nb = static_cast<int>(bounds.size()) - 1;
-  std::int64_t max_rows = 0;
-  int nonempty = 0;
-  bounds_shape(bounds, &max_rows, &nonempty);
-  const std::int64_t est_nnz =
-      std::max<std::int64_t>(1, splan_->est_nnz / std::max(1, nonempty));
-  const sim::SpmmShape shape{est_nnz, std::max<std::int64_t>(1, max_rows), dense_rows, din_q_};
-  const double t_spmm = sim::spmm_time(*ctx.machine, shape);
-  const auto& g = ctx.comm.world().group(gid);
-  const auto eb = static_cast<std::int64_t>(ctx.comm.wire_float_bytes());
-  const double t_ring = comm::collective_time(op, eb * max_rows * din_q_, g.size(), g.link,
-                                              g.a2a_distance_penalty);
-  *cache = comm::choose_pipeline_depth(t_spmm, t_ring, nb);
-  return *cache;
+  return comm::choose_pipeline_depth(t_spmm, t_other, nblocks);
 }
 
 int DistGcnLayer::resolve_prefetch_depth(sim::RankContext& ctx,
@@ -231,9 +171,7 @@ int DistGcnLayer::resolve_prefetch_depth(sim::RankContext& ctx,
   // nonzero, plus the row-pointer run.
   const std::int64_t block_bytes = est_nnz * 8 + (max_rows + 1) * 8;
   const double t_disk = static_cast<double>(block_bytes) / ctx.machine->disk_bw;
-  const sim::SpmmShape shape{est_nnz, std::max<std::int64_t>(1, max_rows), dense_rows, din_q_};
-  const double t_spmm = sim::spmm_time(*ctx.machine, shape);
-  std::int64_t depth = comm::choose_pipeline_depth(t_spmm, t_disk, nb);
+  std::int64_t depth = adaptive_depth(ctx, nullptr, bounds, dense_rows, t_disk, nb);
   if (opts_.rss_budget_bytes >= 0) {
     // In-flight windows are pinned (they dodge the cache's trim), so the
     // prefetch window itself must fit the budget.
@@ -312,21 +250,10 @@ void DistGcnLayer::build_sparse_plan(sim::RankContext& ctx, SparsePlan& plan,
   // same op sequence — resolve the adaptive choice to the group max.
   int depth = opts_.pipeline_depth;
   if (depth <= 0) {
-    double t_spmm_min = 0.0;
-    bool any = false;
-    for (int k = 0; k < nblk; ++k) {
-      const std::int64_t b0 = plan.bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = plan.bounds[static_cast<std::size_t>(k) + 1];
-      if (b0 == b1) continue;
-      const sim::SpmmShape shape{a.range_nnz(b0, b1), b1 - b0, dense_rows, din_q_};
-      const double t = sim::spmm_time(*ctx.machine, shape);
-      t_spmm_min = any ? std::min(t_spmm_min, t) : t;
-      any = true;
-    }
     const double t_ring = comm::sparse_aggregation_time(
         max_blk_rows * din_q_ * wire_eb, max_support * din_q_ * wire_eb, scatter, G, g.link,
         g.a2a_distance_penalty);
-    const int local = comm::choose_pipeline_depth(t_spmm_min, t_ring, nonempty);
+    const int local = adaptive_depth(ctx, &a, plan.bounds, dense_rows, t_ring, nonempty);
     depth = static_cast<int>(ctx.comm.all_reduce_max_scalar(gid, static_cast<double>(local)));
   }
   plan.depth = std::max(1, depth);
@@ -380,6 +307,176 @@ void DistGcnLayer::fold_sparse_chunk(const SparseBlockPlan& blk, std::span<float
   }
 }
 
+void DistGcnLayer::aggregate(sim::RankContext& ctx, bool fwd, const dense::Matrix& x,
+                             dense::Matrix& out, FinalReduce reduce, std::span<float> grad_slice,
+                             std::uint64_t epoch_seed, KernelTimers& timers) {
+  const sim::Machine& m = *ctx.machine;
+  // Forward H = SpMM(A, F) reduces over P; backward dF = SpMM(A^T, dH) over R.
+  const sparse::Csr* a = adj_ == nullptr ? nullptr : fwd ? &adj_->a : &adj_->a_t;
+  const std::int64_t rows = fwd ? rows_r_ : rows_p_;
+  const std::int64_t in_rows = fwd ? rows_p_ : rows_r_;
+  const int G = fwd ? ext_p_ : ext_r_;
+  const comm::GroupId gid = fwd ? p_group_ : r_group_;
+  const bool scatter = reduce == FinalReduce::ReduceScatter;
+  const int nb = std::max(1, opts_.agg_row_blocks);
+
+  // Exchange. Sparse selective aggregation is planned lazily (Auto may fall
+  // back to dense); the plan build runs its own collectives, so it happens
+  // here — in SPMD lockstep at every member's first call — and again if the
+  // caller switches the final-reduce shape. None has no collective to
+  // sparsify.
+  SparsePlan& plan = fwd ? fwd_sparse_ : bwd_sparse_;
+  bool sparse_agg = false;
+  if (reduce != FinalReduce::None && opts_.aggregation != Aggregation::Dense) {
+    if (!plan.built || plan.scatter != scatter) {
+      build_sparse_plan(ctx, plan, *a, rows, in_rows, G, gid, scatter);
+    }
+    sparse_agg = plan.sparse;
+  }
+  // Reduce-scatter blocks are G-aligned so each chunk lands on the caller's
+  // resharded gradient slice; the sparse plan's blocks are G-aligned too.
+  const std::vector<std::int64_t> bounds =
+      sparse_agg ? plan.bounds
+      : scatter  ? sparse::block_bounds_aligned(rows, nb, G)
+                 : sparse::block_bounds(rows, nb);
+  const int nblk = static_cast<int>(bounds.size()) - 1;
+
+  // Pipeline depth: the sparse plan's group-uniform depth, the fixed option,
+  // or the adaptive choice against this exchange's largest-block ring time —
+  // a purely local scheduling decision, cached per direction.
+  int depth = sparse_agg ? plan.depth : opts_.pipeline_depth;
+  if (depth <= 0 && reduce != FinalReduce::None) {
+    int& cached = fwd ? fwd_depth_ : bwd_depth_;
+    if (cached == 0) {
+      std::int64_t max_rows = 0;
+      int nonempty = 0;
+      bounds_shape(bounds, &max_rows, &nonempty);
+      const auto& g = ctx.comm.world().group(gid);
+      // Price what the links actually carry: bf16 wire halves the per-element
+      // volume, shrinking the hiding window and therefore the adaptive depth.
+      const auto eb = static_cast<std::int64_t>(ctx.comm.wire_float_bytes());
+      const double t_ring = comm::collective_time(
+          scatter ? comm::Collective::ReduceScatter : comm::Collective::AllReduce,
+          eb * max_rows * din_q_, g.size(), g.link, g.a2a_distance_penalty);
+      cached = adaptive_depth(ctx, a, bounds, in_rows, t_ring, nblk);
+    }
+    depth = cached;
+  }
+
+  // Block source. Streamed block loads are posted as IO futures into their
+  // own pipeline deque, so disk reads (and any cache misses behind them)
+  // overlap earlier blocks' SpMMs exactly like the exchanges do. Backward
+  // rows [b0, b1) of A^T are the column window [b0, b1) of A, which the IO
+  // worker loads and transposes (same canonical source-row order as the
+  // resident transpose).
+  std::deque<std::future<BlockLoad>> loads;
+  int* pf_cache = fwd ? &fwd_io_depth_ : &bwd_io_depth_;
+  const int pf = a == nullptr ? resolve_prefetch_depth(ctx, bounds, in_rows, pf_cache) : 0;
+  int next = 0;
+  auto fill = [&] {
+    for (; static_cast<int>(loads.size()) < pf && next < nblk; ++next) {
+      const std::int64_t b0 = bounds[static_cast<std::size_t>(next)];
+      const std::int64_t b1 = bounds[static_cast<std::size_t>(next) + 1];
+      if (b0 == b1) continue;
+      const auto& r = splan_->rows;
+      const auto& c = splan_->cols;
+      loads.push_back(fwd ? stream_->post(splan_->version, r.begin + b0, r.begin + b1, c.begin,
+                                          c.end, /*transpose=*/false)
+                          : stream_->post(splan_->version, r.begin, r.end, c.begin + b0,
+                                          c.begin + b1, /*transpose=*/true));
+    }
+  };
+  fill();
+
+  // Stage 1 holds each block's exchange (dense collective or sparse
+  // all-to-all); retiring a sparse block folds it, and the hidden-layer
+  // direction re-gathers the reduced chunks in stage 2. Both stages are
+  // trimmed to the same depth. Exposed comm time is charged inside wait()
+  // from each handle's completion ordering against this rank's clock.
+  std::deque<std::pair<comm::CommHandle, int>> exchange;
+  std::deque<comm::CommHandle> gathers;
+  auto block_rows = [&](std::int64_t b0, std::int64_t b1) {
+    return std::span<float>{out.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
+  };
+  auto grad_chunk = [&](std::int64_t b0, std::int64_t b1) {
+    return grad_slice.subspan(static_cast<std::size_t>(b0 / G * din_q_),
+                              static_cast<std::size_t>((b1 - b0) / G * din_q_));
+  };
+  auto retire = [&] {
+    exchange.front().first.wait();
+    if (sparse_agg) {
+      auto& blk = plan.blocks[static_cast<std::size_t>(exchange.front().second)];
+      if (scatter) {
+        fold_sparse_chunk(blk, grad_chunk(blk.b0, blk.b1));
+      } else {
+        fold_sparse_chunk(blk, blk.chunk_buf);
+        gathers.push_back(ctx.comm.iall_gather<float>(
+            gid, std::span<const float>(blk.chunk_buf), block_rows(blk.b0, blk.b1)));
+      }
+    }
+    exchange.pop_front();
+  };
+
+  for (int k = 0; k < nblk; ++k) {
+    const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
+    const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
+    if (b0 == b1) continue;  // bounds are grid-derived, identical on all members
+    std::int64_t nnz = 0;
+    if (a != nullptr) {
+      sparse::spmm_rows(*a, x, out, b0, b1);
+      nnz = a->range_nnz(b0, b1);
+    } else {
+      // Only the wait compute could not cover lands in timers.io_exposed.
+      util::WallTimer io_timer;
+      BlockLoad bl = loads.front().get();
+      timers.io_exposed += io_timer.seconds();
+      timers.io_bytes += bl.bytes_read;
+      loads.pop_front();
+      fill();  // repost before computing, so the IO worker never idles
+      sparse::spmm_into_rows(bl.csr, x, out, b0);
+      nnz = bl.csr.nnz();
+    }
+    // A streamed block charges its own nnz (== range_nnz of the resident
+    // shard), so the sim cost — forward noise seed included — is identical.
+    const sim::SpmmShape shape{nnz, b1 - b0, in_rows, din_q_};
+    double t_block = sim::spmm_time(m, shape);
+    if (fwd) {
+      const std::uint64_t noise_seed = util::hash_combine(
+          epoch_seed, util::hash_combine(static_cast<std::uint64_t>(layer_),
+                                         util::hash_combine(static_cast<std::uint64_t>(ctx.rank()),
+                                                            static_cast<std::uint64_t>(k))));
+      t_block *= sim::spmm_noise_factor(m, shape, noise_seed);
+    }
+    ctx.comm.charge_compute(t_block);
+    timers.spmm += t_block;
+
+    if (reduce == FinalReduce::None) continue;
+    if (sparse_agg) {
+      // Pack the support rows and send them to the chunk owners.
+      auto& blk = plan.blocks[static_cast<std::size_t>(k)];
+      float* sp = blk.send_buf.data();
+      for (const auto r : blk.send_rows) {
+        std::memcpy(sp, out.row(b0 + r), static_cast<std::size_t>(din_q_) * sizeof(float));
+        sp += din_q_;
+      }
+      exchange.emplace_back(
+          ctx.comm.iall_to_all_v<float>(gid, std::span<const float>(blk.send_buf),
+                                        blk.send_counts.data(), std::span<float>(blk.recv_buf),
+                                        blk.recv_counts.data()),
+          k);
+    } else if (scatter) {
+      const std::span<const float> in = block_rows(b0, b1);
+      exchange.emplace_back(ctx.comm.ireduce_scatter_sum<float>(gid, in, grad_chunk(b0, b1)), k);
+    } else {
+      exchange.emplace_back(ctx.comm.iall_reduce_sum<float>(gid, block_rows(b0, b1)), k);
+    }
+    while (static_cast<int>(exchange.size()) >= depth) retire();
+    trim_pipeline(gathers, depth);
+  }
+  while (!exchange.empty()) retire();
+  drain_pipeline(gathers);
+}
+
 dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
                                     std::uint64_t epoch_seed, KernelTimers& timers) {
   PLEXUS_CHECK(f_in.rows() == rows_p_ && f_in.cols() == din_q_, "forward input block shape");
@@ -387,143 +484,16 @@ dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& 
 
   // ---- Step 1: aggregation H = SpMM(A, F), all-reduced over the P group.
   // Blocked aggregation (section 5.2) as a true software pipeline: block k's
-  // all-reduce executes on the comm thread while later blocks' SpMMs run
-  // here, with up to pipeline_depth - 1 collectives in flight. The exposed
-  // communication charge falls out of each handle's completion ordering
-  // against this rank's clock — there is no hand-fed overlap credit.
+  // exchange executes on the comm thread while later blocks' SpMMs run here,
+  // with up to pipeline_depth - 1 exchanges in flight.
   //
   // The weight gather over R depends only on w_slice_, so it is posted before
   // the aggregation and retired just before the combination GEMM: on the sim
   // timeline it hides behind the SpMM blocks instead of charging full latency.
   h_ = dense::Matrix(rows_r_, din_q_);
-  const int nb = std::max(1, opts_.agg_row_blocks);
-
   dense::Matrix w_block;
   comm::CommHandle w_gather = igathered_weights(ctx, w_block);
-
-  // Sparse selective aggregation (lazily planned; Auto may fall back to
-  // dense). The plan build runs its own collectives, so it happens here — in
-  // SPMD lockstep at every member's first forward.
-  if (opts_.aggregation != Aggregation::Dense && !fwd_sparse_.built) {
-    build_sparse_plan(ctx, fwd_sparse_, adj_->a, rows_r_, rows_p_, ext_p_, p_group_,
-                      /*scatter=*/false);
-  }
-  const bool sparse_agg = opts_.aggregation != Aggregation::Dense && fwd_sparse_.sparse;
-
-  // The streamed path charges the block's own nnz (== range_nnz of the
-  // assembled shard), so the sim cost — noise seed included — is identical
-  // to the resident path's.
-  auto charge_spmm_block = [&](std::int64_t nnz, std::int64_t b0, std::int64_t b1, int k) {
-    const sim::SpmmShape shape{nnz, b1 - b0, rows_p_, din_q_};
-    const std::uint64_t noise_seed = util::hash_combine(
-        epoch_seed, util::hash_combine(static_cast<std::uint64_t>(layer_),
-                                       util::hash_combine(static_cast<std::uint64_t>(ctx.rank()),
-                                                          static_cast<std::uint64_t>(k))));
-    const double t_block = sim::spmm_time(m, shape) * sim::spmm_noise_factor(m, shape, noise_seed);
-    ctx.comm.charge_compute(t_block);
-    timers.spmm += t_block;
-  };
-
-  if (stream_ != nullptr) {
-    // Out-of-core aggregation (the streaming epoch): block loads are posted
-    // as IO handles into their own pipeline deque, so disk reads (and any
-    // cache misses behind them) overlap earlier blocks' SpMMs exactly like
-    // the per-block collectives do. Only the wait that compute could not
-    // cover lands in timers.io_exposed.
-    const auto bounds = sparse::block_bounds(rows_r_, nb);
-    const int depth = resolve_depth_streamed(ctx, bounds, rows_p_, p_group_,
-                                             comm::Collective::AllReduce, &fwd_depth_);
-    const int pf = resolve_prefetch_depth(ctx, bounds, rows_p_, &fwd_io_depth_);
-    std::deque<std::pair<std::future<BlockLoad>, int>> loads;
-    int next = 0;
-    auto fill = [&] {
-      while (static_cast<int>(loads.size()) < pf && next < nb) {
-        const int k = next++;
-        const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-        const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-        if (b0 == b1) continue;
-        loads.emplace_back(stream_->post(splan_->version, splan_->rows.begin + b0,
-                                         splan_->rows.begin + b1, splan_->cols.begin,
-                                         splan_->cols.end, /*transpose=*/false),
-                           k);
-      }
-    };
-    fill();
-    std::deque<comm::CommHandle> inflight;
-    while (!loads.empty()) {
-      const int k = loads.front().second;
-      util::WallTimer io_timer;
-      BlockLoad bl = loads.front().first.get();
-      timers.io_exposed += io_timer.seconds();
-      timers.io_bytes += bl.bytes_read;
-      loads.pop_front();
-      fill();  // repost before computing, so the IO worker never idles
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      sparse::spmm_into_rows(bl.csr, f_in, h_, b0);
-      charge_spmm_block(bl.csr.nnz(), b0, b1, k);
-      std::span<float> rows{h_.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-      inflight.push_back(ctx.comm.iall_reduce_sum<float>(p_group_, rows));
-      trim_pipeline(inflight, depth);
-    }
-    drain_pipeline(inflight);
-  } else if (sparse_agg) {
-    // Per block: SpMM, pack the support rows, sparse all-to-all to the chunk
-    // owners; on retire, fold the received contributions into the reduced
-    // chunk and re-gather the equal chunks with a dense all-gather. Two
-    // pipelined stages, both trimmed to the plan's group-uniform depth.
-    const auto& bounds = fwd_sparse_.bounds;
-    const int nblk = static_cast<int>(bounds.size()) - 1;
-    std::deque<std::pair<comm::CommHandle, int>> exchange;
-    std::deque<comm::CommHandle> gathers;
-    auto advance_exchange = [&]() {
-      exchange.front().first.wait();
-      auto& blk = fwd_sparse_.blocks[static_cast<std::size_t>(exchange.front().second)];
-      fold_sparse_chunk(blk, blk.chunk_buf);
-      std::span<float> rows{h_.row(blk.b0), static_cast<std::size_t>((blk.b1 - blk.b0) * din_q_)};
-      gathers.push_back(ctx.comm.iall_gather<float>(
-          p_group_, std::span<const float>(blk.chunk_buf), rows));
-      exchange.pop_front();
-    };
-    for (int k = 0; k < nblk; ++k) {
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (b0 == b1) continue;  // bounds are grid-derived, identical on all members
-      sparse::spmm_rows(adj_->a, f_in, h_, b0, b1);
-      charge_spmm_block(adj_->a.range_nnz(b0, b1), b0, b1, k);
-      auto& blk = fwd_sparse_.blocks[static_cast<std::size_t>(k)];
-      float* sp = blk.send_buf.data();
-      for (const auto r : blk.send_rows) {
-        std::memcpy(sp, h_.row(b0 + r), static_cast<std::size_t>(din_q_) * sizeof(float));
-        sp += din_q_;
-      }
-      exchange.emplace_back(
-          ctx.comm.iall_to_all_v<float>(p_group_, std::span<const float>(blk.send_buf),
-                                        blk.send_counts.data(), std::span<float>(blk.recv_buf),
-                                        blk.recv_counts.data()),
-          k);
-      while (static_cast<int>(exchange.size()) >= fwd_sparse_.depth) advance_exchange();
-      trim_pipeline(gathers, fwd_sparse_.depth);
-    }
-    while (!exchange.empty()) advance_exchange();
-    drain_pipeline(gathers);
-  } else {
-    const auto bounds = sparse::block_bounds(rows_r_, nb);
-    const int depth = resolve_depth(ctx, adj_->a, bounds, rows_p_, p_group_,
-                                    comm::Collective::AllReduce, &fwd_depth_);
-    std::deque<comm::CommHandle> inflight;
-    for (int k = 0; k < nb; ++k) {
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (b0 == b1) continue;  // bounds are grid-derived, identical on all members
-      sparse::spmm_rows(adj_->a, f_in, h_, b0, b1);
-      charge_spmm_block(adj_->a.range_nnz(b0, b1), b0, b1, k);
-      std::span<float> rows{h_.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-      inflight.push_back(ctx.comm.iall_reduce_sum<float>(p_group_, rows));
-      trim_pipeline(inflight, depth);
-    }
-    drain_pipeline(inflight);
-  }
+  aggregate(ctx, /*fwd=*/true, f_in, h_, FinalReduce::AllReduce, {}, epoch_seed, timers);
 
   // ---- Step 2: combination Q = SGEMM(H, W), all-reduced over the Q group.
   w_gather.wait();
@@ -602,177 +572,13 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
   // 0 with trainable features) per-block reduce-scatters whose R-aligned row
   // blocks land directly on the caller's resharded flat gradient slice.
   dense::Matrix df_in(rows_p_, din_q_);
-  const int nb = std::max(1, opts_.agg_row_blocks);
-  const bool scatter = final_reduce == FinalReduce::ReduceScatter;
-  if (scatter) {
+  if (final_reduce == FinalReduce::ReduceScatter) {
     PLEXUS_CHECK(grad_slice.size() ==
                      static_cast<std::size_t>(rows_p_ / ext_r_ * din_q_),
                  "backward: grad_slice does not match the resharded feature slice");
   }
-
-  // Sparse selective aggregation for the reducing directions (None has no
-  // collective to sparsify). Lazily planned like the forward direction;
-  // rebuilt if the caller switches the final-reduce shape.
-  bool sparse_agg = false;
-  if (final_reduce != FinalReduce::None && opts_.aggregation != Aggregation::Dense) {
-    if (!bwd_sparse_.built || bwd_sparse_.scatter != scatter) {
-      build_sparse_plan(ctx, bwd_sparse_, adj_->a_t, rows_p_, rows_r_, ext_r_, r_group_,
-                        scatter);
-    }
-    sparse_agg = bwd_sparse_.sparse;
-  }
-
-  auto charge_spmm_block = [&](std::int64_t nnz, std::int64_t b0, std::int64_t b1) {
-    const sim::SpmmShape shape{nnz, b1 - b0, rows_r_, din_q_};
-    const double t = sim::spmm_time(m, shape);
-    ctx.comm.charge_compute(t);
-    timers.spmm += t;
-  };
-
-  if (stream_ != nullptr) {
-    // Streamed dF: rows [b0, b1) of A^T are the column window [b0, b1) of A,
-    // so the stream loads that window and transposes it on the IO worker —
-    // the counting sort hides behind compute too. Bitwise-identical to rows
-    // [b0, b1) of the resident transpose (same canonical source-row order).
-    const auto bounds = scatter ? sparse::block_bounds_aligned(rows_p_, nb, ext_r_)
-                                : sparse::block_bounds(rows_p_, nb);
-    const int depth =
-        final_reduce == FinalReduce::None
-            ? 1
-            : resolve_depth_streamed(ctx, bounds, rows_r_, r_group_,
-                                     scatter ? comm::Collective::ReduceScatter
-                                             : comm::Collective::AllReduce,
-                                     &bwd_depth_);
-    const int pf = resolve_prefetch_depth(ctx, bounds, rows_r_, &bwd_io_depth_);
-    std::deque<std::pair<std::future<BlockLoad>, int>> loads;
-    int next = 0;
-    auto fill = [&] {
-      while (static_cast<int>(loads.size()) < pf && next < nb) {
-        const int k = next++;
-        const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-        const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-        if (b0 == b1) continue;
-        loads.emplace_back(stream_->post(splan_->version, splan_->rows.begin,
-                                         splan_->rows.end, splan_->cols.begin + b0,
-                                         splan_->cols.begin + b1, /*transpose=*/true),
-                           k);
-      }
-    };
-    fill();
-    std::deque<comm::CommHandle> inflight;
-    while (!loads.empty()) {
-      const int k = loads.front().second;
-      util::WallTimer io_timer;
-      BlockLoad bl = loads.front().first.get();
-      timers.io_exposed += io_timer.seconds();
-      timers.io_bytes += bl.bytes_read;
-      loads.pop_front();
-      fill();
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      sparse::spmm_into_rows(bl.csr, dh, df_in, b0);
-      charge_spmm_block(bl.csr.nnz(), b0, b1);
-      std::span<const float> rows{df_in.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-      if (final_reduce == FinalReduce::AllReduce) {
-        std::span<float> inout{df_in.row(b0), rows.size()};
-        inflight.push_back(ctx.comm.iall_reduce_sum<float>(r_group_, inout));
-        trim_pipeline(inflight, depth);
-      } else if (scatter) {
-        std::span<float> out =
-            grad_slice.subspan(static_cast<std::size_t>(b0 / ext_r_ * din_q_),
-                               rows.size() / static_cast<std::size_t>(ext_r_));
-        inflight.push_back(ctx.comm.ireduce_scatter_sum<float>(r_group_, rows, out));
-        trim_pipeline(inflight, depth);
-      }
-    }
-    drain_pipeline(inflight);
-    if (scatter) return {};
-    return df_in;
-  }
-
-  if (sparse_agg) {
-    // Mirror of the forward sparse pipeline over the R group: SpMM, pack,
-    // sparse all-to-all; on retire, fold into the reduced chunk. Hidden
-    // layers re-gather the chunks into df_in; layer 0 folds directly onto
-    // the caller's grad-slice chunk (the reduce-scatter's destination).
-    const auto& bounds = bwd_sparse_.bounds;
-    const int nblk = static_cast<int>(bounds.size()) - 1;
-    std::deque<std::pair<comm::CommHandle, int>> exchange;
-    std::deque<comm::CommHandle> gathers;
-    auto advance_exchange = [&]() {
-      exchange.front().first.wait();
-      auto& blk = bwd_sparse_.blocks[static_cast<std::size_t>(exchange.front().second)];
-      if (scatter) {
-        const std::int64_t cr = (blk.b1 - blk.b0) / ext_r_;
-        fold_sparse_chunk(blk,
-                          grad_slice.subspan(static_cast<std::size_t>(blk.b0 / ext_r_ * din_q_),
-                                             static_cast<std::size_t>(cr * din_q_)));
-      } else {
-        fold_sparse_chunk(blk, blk.chunk_buf);
-        std::span<float> rows{df_in.row(blk.b0),
-                              static_cast<std::size_t>((blk.b1 - blk.b0) * din_q_)};
-        gathers.push_back(ctx.comm.iall_gather<float>(
-            r_group_, std::span<const float>(blk.chunk_buf), rows));
-      }
-      exchange.pop_front();
-    };
-    for (int k = 0; k < nblk; ++k) {
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (b0 == b1) continue;
-      sparse::spmm_rows(adj_->a_t, dh, df_in, b0, b1);
-      charge_spmm_block(adj_->a_t.range_nnz(b0, b1), b0, b1);
-      auto& blk = bwd_sparse_.blocks[static_cast<std::size_t>(k)];
-      float* sp = blk.send_buf.data();
-      for (const auto r : blk.send_rows) {
-        std::memcpy(sp, df_in.row(b0 + r), static_cast<std::size_t>(din_q_) * sizeof(float));
-        sp += din_q_;
-      }
-      exchange.emplace_back(
-          ctx.comm.iall_to_all_v<float>(r_group_, std::span<const float>(blk.send_buf),
-                                        blk.send_counts.data(), std::span<float>(blk.recv_buf),
-                                        blk.recv_counts.data()),
-          k);
-      while (static_cast<int>(exchange.size()) >= bwd_sparse_.depth) advance_exchange();
-      trim_pipeline(gathers, bwd_sparse_.depth);
-    }
-    while (!exchange.empty()) advance_exchange();
-    drain_pipeline(gathers);
-    if (scatter) return {};
-    return df_in;
-  }
-
-  const auto bounds = scatter ? sparse::block_bounds_aligned(rows_p_, nb, ext_r_)
-                              : sparse::block_bounds(rows_p_, nb);
-  const int depth =
-      final_reduce == FinalReduce::None
-          ? 1
-          : resolve_depth(ctx, adj_->a_t, bounds, rows_r_, r_group_,
-                          scatter ? comm::Collective::ReduceScatter
-                                  : comm::Collective::AllReduce,
-                          &bwd_depth_);
-  std::deque<comm::CommHandle> inflight;
-  for (int k = 0; k < nb; ++k) {
-    const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-    const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-    if (b0 == b1) continue;
-    sparse::spmm_rows(adj_->a_t, dh, df_in, b0, b1);
-    charge_spmm_block(adj_->a_t.range_nnz(b0, b1), b0, b1);
-    std::span<const float> rows{df_in.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-    if (final_reduce == FinalReduce::AllReduce) {
-      std::span<float> inout{df_in.row(b0), rows.size()};
-      inflight.push_back(ctx.comm.iall_reduce_sum<float>(r_group_, inout));
-      trim_pipeline(inflight, depth);
-    } else if (scatter) {
-      std::span<float> out =
-          grad_slice.subspan(static_cast<std::size_t>(b0 / ext_r_ * din_q_),
-                             rows.size() / static_cast<std::size_t>(ext_r_));
-      inflight.push_back(ctx.comm.ireduce_scatter_sum<float>(r_group_, rows, out));
-      trim_pipeline(inflight, depth);
-    }
-  }
-  drain_pipeline(inflight);
-  if (scatter) return {};
+  aggregate(ctx, /*fwd=*/false, dh, df_in, final_reduce, grad_slice, /*epoch_seed=*/0, timers);
+  if (final_reduce == FinalReduce::ReduceScatter) return {};
   return df_in;
 }
 

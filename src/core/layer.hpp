@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/adjacency_store.hpp"
@@ -25,6 +24,7 @@
 #include "dense/matrix.hpp"
 #include "dense/optim.hpp"
 #include "sim/cluster.hpp"
+#include "util/enum_names.hpp"
 
 namespace plexus::core {
 
@@ -48,18 +48,6 @@ enum class Aggregation {
   Auto,
 };
 
-/// Strategy name ("dense", "sparse", "auto") for logs and CLI flags. Thin
-/// wrapper over the util::EnumNames registry at the bottom of this header.
-const char* aggregation_name(Aggregation a);
-
-/// Parse a strategy name (case-insensitive). Returns false on unknown names.
-bool aggregation_from_string(std::string_view s, Aggregation& out);
-
-/// The PLEXUS_AGG environment variable (`dense` | `sparse` | `auto`), else
-/// Dense. Resolved by TrainOptions; PlexusOptions itself defaults to Dense so
-/// directly-constructed layers are unaffected by the environment.
-Aggregation default_aggregation();
-
 /// PLEXUS_AGG as an *optional* override: the parsed value when the variable
 /// is set (and well-formed), std::nullopt otherwise. This is the
 /// TrainOptions::aggregation default — set means "override the model's
@@ -67,31 +55,37 @@ Aggregation default_aggregation();
 /// core::resolve_options).
 std::optional<Aggregation> env_aggregation();
 
-/// Tunables of the parallel algorithm (paper section 5).
+/// Tunables of the parallel algorithm (paper section 5). Both directions of a
+/// layer run one blocked-aggregation pipeline (section 5.2): per row block,
+/// SpMM the block, then post its exchange. The pipeline varies along two
+/// axes — where the block comes from (the resident CSR shard, or a streamed
+/// load) and how it is exchanged (`aggregation`, or nothing for
+/// FinalReduce::None) — and the knobs below tune it.
 struct PlexusOptions {
   int agg_row_blocks = 1;       ///< >1 enables blocked aggregation (section 5.2)
   bool gemm_dw_tuning = false;  ///< reversed dL/dW multiplication order (section 5.3)
-  /// Software-pipeline depth of blocked aggregation: while a block's SpMM
-  /// runs, up to `pipeline_depth - 1` per-block collectives may be in flight
-  /// on the comm channels. 1 = fully blocking (wait immediately after post);
-  /// 2 = the classic one-block lookahead of section 5.2. 0 (the default) =
-  /// adaptive: each layer picks its own depth from the perf model (per-block
-  /// SpMM time vs per-block ring time — comm::choose_pipeline_depth),
-  /// separately for the forward and backward aggregations. Losses are
-  /// bitwise-identical for any depth — only the exposed comm time changes,
-  /// and the adaptive choice exposes no more than any fixed depth.
+  /// Software-pipeline depth: while a block's SpMM runs, up to
+  /// `pipeline_depth - 1` per-block exchanges may be in flight on the comm
+  /// channels. 1 = fully blocking (wait immediately after post); 2 = the
+  /// classic one-block lookahead of section 5.2. 0 (the default) = adaptive:
+  /// each layer picks its own depth per direction from the perf model
+  /// (per-block SpMM time vs per-block exchange time —
+  /// comm::choose_pipeline_depth). Losses are bitwise-identical for any depth
+  /// — only the exposed comm time changes, and the adaptive choice exposes no
+  /// more than any fixed depth.
   int pipeline_depth = 0;
-  /// Streaming epochs only: number of block loads the prefetch thread keeps
-  /// in flight ahead of the consuming SpMM. 0 (the default) = adaptive — the
-  /// perf model balances per-block SpMM time against per-block disk time
-  /// (comm::choose_pipeline_depth over sim::Machine::disk_bw), clamped so the
-  /// in-flight windows stay inside rss_budget_bytes. Like pipeline_depth a
-  /// pure scheduling knob: losses are bitwise-identical for any depth.
+  /// Streamed block source only: number of block loads the prefetch thread
+  /// keeps in flight ahead of the consuming SpMM. 0 (the default) = adaptive
+  /// — the same depth rule with per-block disk time (sim::Machine::disk_bw)
+  /// in place of the exchange time, clamped so the in-flight windows stay
+  /// inside rss_budget_bytes. Like pipeline_depth a pure scheduling knob:
+  /// losses are bitwise-identical for any depth.
   int prefetch_depth = 0;
-  /// Streaming epochs only: RSS budget (bytes) the block cache and prefetch
-  /// window planner honour. < 0 = unbounded.
+  /// Streamed block source only: RSS budget (bytes) the block cache and
+  /// prefetch window planner honour. < 0 = unbounded.
   std::int64_t rss_budget_bytes = -1;
-  /// Aggregation strategy (dense ring vs sparsity-aware selective exchange).
+  /// Exchange of each aggregated block: dense ring collectives or the
+  /// sparsity-aware selective exchange (resident block source only).
   Aggregation aggregation = Aggregation::Dense;
   dense::AdamConfig adam;
 };
@@ -121,13 +115,13 @@ class DistGcnLayer {
   /// `padded_nodes` is the dataset's padded node count (the only dataset
   /// fact a layer needs — rows shard as padded_nodes / extent).
   ///
-  /// Pass either `adj` (resident shard: the classic path) or, for the
-  /// out-of-core streaming epoch, adj == nullptr plus a ShardStream and the
-  /// layer's LayerStreamPlan — then every aggregation block is loaded from
-  /// disk through the stream's prefetch pipeline instead of read from the
-  /// shard, with bitwise-identical results. Streaming requires
-  /// Aggregation::Dense (the selective exchange needs the resident nnz
-  /// structure up front).
+  /// The block source of the aggregation pipeline: pass either `adj` (a
+  /// resident shard) or, for the out-of-core streaming epoch, adj == nullptr
+  /// plus a ShardStream and the layer's LayerStreamPlan — then every
+  /// aggregation block is loaded from disk through the stream's prefetch
+  /// pipeline instead of read from the shard, with bitwise-identical results.
+  /// Streaming requires Aggregation::Dense (the selective exchange plans from
+  /// a support scan of the resident nnz structure).
   DistGcnLayer(std::int64_t padded_nodes, const Grid3D& grid, int rank, int layer_index,
                int num_layers, std::int64_t in_dim_padded, std::int64_t out_dim_padded,
                std::int64_t in_dim_valid, std::int64_t out_dim_valid, const AdjacencyShard* adj,
@@ -167,9 +161,6 @@ class DistGcnLayer {
   comm::GroupId r_group() const { return r_group_; }
   std::int64_t weight_slice_size() const { return static_cast<std::int64_t>(w_slice_.size()); }
 
-  /// Gathered weight block (tests): (Din/Q x Dout/P).
-  dense::Matrix gather_weight_block(sim::RankContext& ctx);
-
   /// This rank's flat weight slice and its optimizer state (checkpointing).
   std::span<const float> weight_slice() const { return w_slice_; }
   const dense::Adam& optimizer() const { return adam_; }
@@ -183,28 +174,33 @@ class DistGcnLayer {
   /// Post the R-group all-gather assembling the (Din/Q x Dout/P) weight block
   /// into `w_block`; the caller waits the handle before reading it.
   comm::CommHandle igathered_weights(sim::RankContext& ctx, dense::Matrix& w_block);
-  dense::Matrix gathered_weights(sim::RankContext& ctx);
 
-  /// Pipeline depth for this layer's blocked aggregation: the fixed
-  /// PlexusOptions value, or (pipeline_depth == 0) the perf-model choice from
-  /// the actual per-block SpMM times and this group's ring parameters —
-  /// computed once per (direction, collective) and cached. Purely a local
-  /// scheduling decision: ranks need not agree on it.
-  int resolve_depth(sim::RankContext& ctx, const sparse::Csr& a,
-                    const std::vector<std::int64_t>& bounds, std::int64_t dense_rows,
-                    comm::GroupId gid, comm::Collective op, int* cache);
+  /// Blocked aggregation (section 5.2), the one pipeline behind forward and
+  /// backward: out = SpMM(A, x) over the P group (`fwd`) or SpMM(A^T, x)
+  /// over the R group, exchanged per block as `reduce` says (forward passes
+  /// AllReduce). Per block: take the block from the source (resident CSR
+  /// slice, or the next streamed load), SpMM it, charge it, post its exchange
+  /// and retire exchanges down to the pipeline depth. `epoch_seed` seeds the
+  /// forward SpMM variability model; `grad_slice` receives ReduceScatter.
+  void aggregate(sim::RankContext& ctx, bool fwd, const dense::Matrix& x, dense::Matrix& out,
+                 FinalReduce reduce, std::span<float> grad_slice, std::uint64_t epoch_seed,
+                 KernelTimers& timers);
 
-  /// Streaming twin of resolve_depth: the shard is not resident, so the
-  /// per-block SpMM time comes from the stream plan's uniform nnz estimate.
-  /// Still a purely local scheduling decision.
-  int resolve_depth_streamed(sim::RankContext& ctx, const std::vector<std::int64_t>& bounds,
-                             std::int64_t dense_rows, comm::GroupId gid, comm::Collective op,
-                             int* cache);
+  /// The adaptive depth rule shared by every pipeline of the layer: the
+  /// perf-model balance (comm::choose_pipeline_depth) of per-block SpMM time
+  /// against the per-block time `t_other` of what overlaps it (an exchange,
+  /// or a disk read) over `nblocks` blocks. The block source supplies the
+  /// SpMM time: resident (`a`), the fastest nonempty block's exact
+  /// noise-free time (noise only slows blocks down, so this lower-bounds the
+  /// hiding window); streamed (`a == nullptr`), the stream plan's uniform
+  /// per-block nnz estimate at the largest block's rows.
+  int adaptive_depth(sim::RankContext& ctx, const sparse::Csr* a,
+                     const std::vector<std::int64_t>& bounds, std::int64_t dense_rows,
+                     double t_other, int nblocks) const;
 
-  /// In-flight block loads the streaming loops keep posted: the fixed
-  /// PlexusOptions::prefetch_depth, or (0 = adaptive) the perf-model balance
-  /// of per-block SpMM time against per-block disk time, clamped to the RSS
-  /// budget. Cached per direction.
+  /// In-flight block loads of the streamed block source: the fixed
+  /// PlexusOptions::prefetch_depth, or (0 = adaptive) adaptive_depth against
+  /// per-block disk time, clamped to the RSS budget. Cached per direction.
   int resolve_prefetch_depth(sim::RankContext& ctx, const std::vector<std::int64_t>& bounds,
                              std::int64_t dense_rows, int* cache);
 

@@ -89,7 +89,7 @@ PLEXUS_SCALAR_ATTR void spmm_rows_scalar(const std::int64_t* rp, const std::int3
                                          std::int64_t r1, std::int64_t n, bool accumulate) {
   for (std::int64_t r = r0; r < r1; ++r) {
     float* crow = c + r * ldc;
-    if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
+    if (!accumulate && n > 0) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
     for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
       const float v = va[k];
       const float* brow = b + static_cast<std::int64_t>(ci[k]) * ldb;
@@ -141,7 +141,7 @@ __attribute__((target("avx2"))) void spmm_rows_avx2(const std::int64_t* rp,
                                                     bool accumulate) {
   for (std::int64_t r = r0; r < r1; ++r) {
     float* crow = c + r * ldc;
-    if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
+    if (!accumulate && n > 0) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
     for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
       const float v = va[k];
       const float* brow = b + static_cast<std::int64_t>(ci[k]) * ldb;
@@ -168,7 +168,7 @@ __attribute__((target("avx512f"))) void spmm_rows_avx512(const std::int64_t* rp,
       static_cast<__mmask16>((1u << static_cast<unsigned>(n - full)) - 1u);
   for (std::int64_t r = r0; r < r1; ++r) {
     float* crow = c + r * ldc;
-    if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
+    if (!accumulate && n > 0) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
     for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
       const float v = va[k];
       const float* brow = b + static_cast<std::int64_t>(ci[k]) * ldb;

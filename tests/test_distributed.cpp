@@ -267,8 +267,10 @@ TEST(Distributed, SparseAggregationLossesBitwiseEqualDense) {
   // The selective row exchange reorders nothing: chunks fold contributions in
   // canonical member order and skipped members contribute exactly-zero rows,
   // so losses must match the dense ring path bit for bit — across grids
-  // (sparse forward only, backward only, both) and pipeline depths (adaptive
-  // and fixed; the sparse pipeline interleaves two collective stages).
+  // (sparse forward only, backward only, both), pipeline depths (adaptive
+  // and fixed; the sparse pipeline interleaves two collective stages) and
+  // layer 0's backward exchange (reduce-scatter onto trainable features, or
+  // FinalReduce::None when the features are frozen).
   const auto g = small_graph();
   const auto bitwise_eq = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -276,23 +278,26 @@ TEST(Distributed, SparseAggregationLossesBitwiseEqualDense) {
   for (const auto shape : {psim::GridShape{2, 2, 2}, psim::GridShape{4, 1, 1},
                            psim::GridShape{1, 1, 4}}) {
     for (const int depth : {-1, 1, 3}) {  // -1 = keep the adaptive default
-      pc::TrainOptions opt;
-      opt.grid = shape;
-      opt.machine = &psim::Machine::test_machine();
-      opt.model = small_spec();
-      opt.model.options.agg_row_blocks = 4;
-      opt.epochs = 5;
-      opt.pipeline_depth = depth;
-      opt.aggregation = pc::Aggregation::Dense;
-      const auto dense = pc::train_plexus(g, opt);
-      opt.aggregation = pc::Aggregation::Sparse;
-      const auto sparse = pc::train_plexus(g, opt);
-      ASSERT_EQ(dense.epochs.size(), sparse.epochs.size());
-      for (std::size_t i = 0; i < dense.epochs.size(); ++i) {
-        EXPECT_TRUE(bitwise_eq(dense.epochs[i].loss, sparse.epochs[i].loss))
-            << "grid " << shape.x << "x" << shape.y << "x" << shape.z << " depth " << depth
-            << " epoch " << i << " dense " << dense.epochs[i].loss << " sparse "
-            << sparse.epochs[i].loss;
+      for (const bool train_features : {true, false}) {
+        pc::TrainOptions opt;
+        opt.grid = shape;
+        opt.machine = &psim::Machine::test_machine();
+        opt.model = small_spec();
+        opt.model.options.agg_row_blocks = 4;
+        opt.model.train_input_features = train_features;
+        opt.epochs = 5;
+        opt.pipeline_depth = depth;
+        opt.aggregation = pc::Aggregation::Dense;
+        const auto dense = pc::train_plexus(g, opt);
+        opt.aggregation = pc::Aggregation::Sparse;
+        const auto sparse = pc::train_plexus(g, opt);
+        ASSERT_EQ(dense.epochs.size(), sparse.epochs.size());
+        for (std::size_t i = 0; i < dense.epochs.size(); ++i) {
+          EXPECT_TRUE(bitwise_eq(dense.epochs[i].loss, sparse.epochs[i].loss))
+              << "grid " << shape.x << "x" << shape.y << "x" << shape.z << " depth " << depth
+              << " train_features " << train_features << " epoch " << i << " dense "
+              << dense.epochs[i].loss << " sparse " << sparse.epochs[i].loss;
+        }
       }
     }
   }
