@@ -37,6 +37,15 @@ class SimTransport final : public Transport {
   Backend backend() const override { return Backend::Sim; }
   const char* name() const override { return "sim"; }
 
+  /// A one-member all-reduce of a plain payload (wire type == accumulator
+  /// type, no `assign` hook) is the identity: the fold would copy the buffer
+  /// to scratch and straight back. Skipping both copies preserves every bit;
+  /// the op is still posted, counted and clocked by the Communicator. A
+  /// compressed payload (bf16 wire) still round-trips so it stays rounded.
+  static bool one_member_identity(const GroupShared& g, const CollArgs& a) {
+    return g.size() == 1 && a.assign == nullptr;
+  }
+
   void move(GroupShared& g, const CollArgs& a) override {
     const std::size_t nb = a.count * a.elem;  // per-member chunk in bytes
     switch (a.kind) {
@@ -62,7 +71,7 @@ class SimTransport final : public Transport {
         return;
       }
       case Collective::AllReduce: {
-        if (nb == 0) return;
+        if (nb == 0 || one_member_identity(g, a)) return;
         auto& scratch = detail::op_scratch();
         scratch.resize(a.count * a.accumulator_elem());
         detail::assign_chunk(a, scratch.data(), g.slots[0]);
@@ -98,9 +107,9 @@ class SimTransport final : public Transport {
     }
   }
 
-  void finalize(GroupShared&, const CollArgs& a) override {
+  void finalize(GroupShared& g, const CollArgs& a) override {
     if (a.kind != Collective::AllReduce) return;
-    if (a.count * a.elem == 0) return;
+    if (a.count * a.elem == 0 || one_member_identity(g, a)) return;
     // The in-place result: peers read the original buffer during the read
     // phase, so the reduced scratch lands only after the completion barrier.
     std::memcpy(a.recv, detail::op_scratch().data(), a.count * a.accumulator_elem());

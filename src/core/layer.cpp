@@ -125,9 +125,9 @@ void DistGcnLayer::restore_state(std::span<const float> w, std::span<const float
   adam_.set_state(m, v, adam_t);
 }
 
-comm::CommHandle DistGcnLayer::igathered_weights(sim::RankContext& ctx, dense::Matrix& w_block) {
-  w_block = dense::Matrix(din_q_, dout_p_);
-  return ctx.comm.iall_gather<float>(r_group_, w_slice_, w_block.flat());
+comm::CommHandle DistGcnLayer::igathered_weights(sim::RankContext& ctx) {
+  ensure_shape(w_block_, din_q_, dout_p_);
+  return ctx.comm.iall_gather<float>(r_group_, w_slice_, w_block_.flat());
 }
 
 int DistGcnLayer::adaptive_depth(sim::RankContext& ctx, const sparse::Csr* a,
@@ -477,8 +477,9 @@ void DistGcnLayer::aggregate(sim::RankContext& ctx, bool fwd, const dense::Matri
   drain_pipeline(gathers);
 }
 
-dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
-                                    std::uint64_t epoch_seed, KernelTimers& timers) {
+const dense::Matrix& DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in,
+                                           bool last, std::uint64_t epoch_seed,
+                                           KernelTimers& timers) {
   PLEXUS_CHECK(f_in.rows() == rows_p_ && f_in.cols() == din_q_, "forward input block shape");
   const sim::Machine& m = *ctx.machine;
 
@@ -490,52 +491,55 @@ dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& 
   // The weight gather over R depends only on w_slice_, so it is posted before
   // the aggregation and retired just before the combination GEMM: on the sim
   // timeline it hides behind the SpMM blocks instead of charging full latency.
-  h_ = dense::Matrix(rows_r_, din_q_);
-  dense::Matrix w_block;
-  comm::CommHandle w_gather = igathered_weights(ctx, w_block);
+  // The SpMM zero-fills every output row of every block, and the blocks tile
+  // all rows, so h_ needs no clearing.
+  ensure_shape(h_, rows_r_, din_q_);
+  comm::CommHandle w_gather = igathered_weights(ctx);
   aggregate(ctx, /*fwd=*/true, f_in, h_, FinalReduce::AllReduce, {}, epoch_seed, timers);
 
   // ---- Step 2: combination Q = SGEMM(H, W), all-reduced over the Q group.
+  // beta = 0 overwrites q_pre_ without reading it.
   w_gather.wait();
-  q_pre_ = dense::matmul(h_, w_block);
+  ensure_shape(q_pre_, rows_r_, dout_p_);
+  dense::gemm(dense::Trans::N, dense::Trans::N, 1.0f, h_, w_block_, 0.0f, q_pre_);
   const double t_gemm = sim::gemm_time(m, rows_r_, dout_p_, din_q_, dense::Trans::N,
                                        dense::Trans::N);
   ctx.comm.charge_compute(t_gemm);
   timers.gemm += t_gemm;
   ctx.comm.all_reduce_sum<float>(q_group_, q_pre_.flat());
 
-  // ---- Step 3: activation.
+  // ---- Step 3: activation, in place. relu(q) > 0 exactly when q > 0 for
+  // every float (±0, NaN, ±inf and denormals included), so backward's relu'
+  // mask reads the same bits from relu(Q) as it would from Q.
   if (last) return q_pre_;
-  dense::Matrix f_out = dense::relu(q_pre_);
+  dense::relu(q_pre_, q_pre_);
   const double t_act = sim::elementwise_time(m, q_pre_.size());
   ctx.comm.charge_compute(t_act);
   timers.elementwise += t_act;
-  return f_out;
+  return q_pre_;
 }
 
-dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix& df_out,
-                                     bool last, KernelTimers& timers, FinalReduce final_reduce,
-                                     std::span<float> grad_slice) {
+dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last,
+                                      KernelTimers& timers, FinalReduce final_reduce,
+                                      std::span<float> grad_slice) {
   PLEXUS_CHECK(df_out.rows() == rows_r_ && df_out.cols() == dout_p_, "backward input shape");
   const sim::Machine& m = *ctx.machine;
 
   // W is needed only for the dH GEMM: post the R-group gather now so it
   // overlaps relu' and the dW GEMM (a blocking gather here used to charge its
   // full latency every backward pass).
-  dense::Matrix w_block;
-  comm::CommHandle w_gather = igathered_weights(ctx, w_block);
+  comm::CommHandle w_gather = igathered_weights(ctx);
 
-  // dQ = dF_out (last layer: the loss grad, read in place) or
-  // dF_out ⊙ relu'(Q) (eq. 2.4).
-  dense::Matrix relu_grad;
+  // dQ = dF_out (last layer: the loss grad, read as is) or
+  // dF_out ⊙ relu'(Q) (eq. 2.4), computed in place over df_out; q_pre_ holds
+  // relu(Q), whose positive mask is Q's.
   if (!last) {
-    relu_grad = dense::Matrix(rows_r_, dout_p_);
-    dense::relu_backward(q_pre_, df_out, relu_grad);
-    const double t = sim::elementwise_time(m, relu_grad.size(), 3.0);
+    dense::relu_backward(q_pre_, df_out, df_out);
+    const double t = sim::elementwise_time(m, df_out.size(), 3.0);
     ctx.comm.charge_compute(t);
     timers.elementwise += t;
   }
-  const dense::Matrix& dq = last ? df_out : relu_grad;
+  const dense::Matrix& dq = df_out;
 
   // dW = H^T dQ (eq. 2.5), reduce-scattered over the R group (Alg. 2 line 3).
   // Section 5.3 tuning replaces the slow transpose-first GEMM by the reversed
@@ -549,7 +553,8 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
     ctx.comm.charge_compute(t);
     timers.gemm += t;
   } else {
-    dw_block_ = dense::matmul(h_, dq, dense::Trans::T, dense::Trans::N);
+    ensure_shape(dw_block_, din_q_, dout_p_);
+    dense::gemm(dense::Trans::T, dense::Trans::N, 1.0f, h_, dq, 0.0f, dw_block_);
     const double t = sim::gemm_time(m, din_q_, dout_p_, rows_r_, dense::Trans::T, dense::Trans::N);
     ctx.comm.charge_compute(t);
     timers.gemm += t;
@@ -558,28 +563,28 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
 
   // dH = dQ W^T (eq. 2.6), all-reduced over the P group (Alg. 2 lines 4-6).
   w_gather.wait();
-  dense::Matrix dh = dense::matmul(dq, w_block, dense::Trans::N, dense::Trans::T);
+  ensure_shape(dh_, rows_r_, din_q_);
+  dense::gemm(dense::Trans::N, dense::Trans::T, 1.0f, dq, w_block_, 0.0f, dh_);
   {
     const double t = sim::gemm_time(m, rows_r_, din_q_, dout_p_, dense::Trans::N, dense::Trans::T);
     ctx.comm.charge_compute(t);
     timers.gemm += t;
   }
-  ctx.comm.all_reduce_sum<float>(p_group_, dh.flat());
+  ctx.comm.all_reduce_sum<float>(p_group_, dh_.flat());
 
   // dF = SpMM(A^T, dH) (eq. 2.7), blocked over output rows — the backward
   // mirror of section 5.2. The final R-group collective pipelines behind the
   // next block's SpMM: per-block all-reduces for the hidden layers, or (layer
   // 0 with trainable features) per-block reduce-scatters whose R-aligned row
   // blocks land directly on the caller's resharded flat gradient slice.
-  dense::Matrix df_in(rows_p_, din_q_);
+  ensure_shape(df_in_, rows_p_, din_q_);
   if (final_reduce == FinalReduce::ReduceScatter) {
     PLEXUS_CHECK(grad_slice.size() ==
                      static_cast<std::size_t>(rows_p_ / ext_r_ * din_q_),
                  "backward: grad_slice does not match the resharded feature slice");
   }
-  aggregate(ctx, /*fwd=*/false, dh, df_in, final_reduce, grad_slice, /*epoch_seed=*/0, timers);
-  if (final_reduce == FinalReduce::ReduceScatter) return {};
-  return df_in;
+  aggregate(ctx, /*fwd=*/false, dh_, df_in_, final_reduce, grad_slice, /*epoch_seed=*/0, timers);
+  return df_in_;
 }
 
 void DistGcnLayer::apply_grad(sim::RankContext& ctx, KernelTimers& timers) {

@@ -7,9 +7,11 @@
 /// reversed-order dL/dW GEMM (5.3).
 ///
 /// A layer owns its weight shard (the (Din/Q x Dout/P) block, flat-sharded
-/// across the R-parallel group) and that shard's Adam state. All simulated
-/// kernel time is charged onto the rank's clock; collectives charge and
-/// synchronise through the communicator.
+/// across the R-parallel group) and that shard's Adam state, plus every
+/// activation and gradient block its passes produce: each is allocated once
+/// per shape and overwritten in full on every pass, so a steady-state epoch
+/// allocates none. All simulated kernel time is charged onto the rank's
+/// clock; collectives charge and synchronise through the communicator.
 
 #include <cstdint>
 #include <optional>
@@ -130,12 +132,17 @@ class DistGcnLayer {
 
   /// Forward: f_in is the (N/P x Din/Q) input block (layer 0's flat-sharded
   /// features must be gathered by the caller). Applies ReLU unless `last`.
-  /// `epoch_seed` feeds the per-kernel variability model.
-  dense::Matrix forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
-                        std::uint64_t epoch_seed, KernelTimers& timers);
+  /// `epoch_seed` feeds the per-kernel variability model. Returns the
+  /// layer-owned output block (relu(Q), or Q when `last`), valid until this
+  /// layer's next forward().
+  const dense::Matrix& forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
+                               std::uint64_t epoch_seed, KernelTimers& timers);
 
   /// Backward: df_out is the gradient w.r.t. this layer's output (same block
-  /// layout as the forward output, replicated over Q). The final R-group
+  /// layout as the forward output, replicated over Q). Hidden layers consume
+  /// it in place (df_out becomes dQ = df_out ⊙ relu'(Q)); the last layer
+  /// only reads it. Returns the layer-owned dF_in block, valid until this
+  /// layer's next backward(). The final R-group
   /// collective over the partial dF_in block is applied per `final_reduce`,
   /// pipelined against the blocked dF = SpMM(A^T, dH) (the backward mirror of
   /// section 5.2):
@@ -143,14 +150,14 @@ class DistGcnLayer {
   ///  * FinalReduce::ReduceScatter — row blocks are aligned to the R extent
   ///    and each block is reduce-scattered onto `grad_slice` (the caller's
   ///    row-major-resharded flat gradient slice, layer 0 / section 3.2);
-  ///    returns an empty matrix.
+  ///    the returned block is the unreduced partial.
   ///  * FinalReduce::None — returns the *partial* dF_in; the caller applies
   ///    whatever collective it needs.
   /// Stores dW internally; its reduce-scatter is posted asynchronously and
   /// retired in apply_grad().
-  dense::Matrix backward(sim::RankContext& ctx, const dense::Matrix& df_out, bool last,
-                         KernelTimers& timers, FinalReduce final_reduce = FinalReduce::None,
-                         std::span<float> grad_slice = {});
+  dense::Matrix& backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last,
+                          KernelTimers& timers, FinalReduce final_reduce = FinalReduce::None,
+                          std::span<float> grad_slice = {});
 
   /// Adam step on the local weight slice using the gradient from backward().
   /// Waits for the asynchronous dW reduce-scatter posted there.
@@ -172,8 +179,8 @@ class DistGcnLayer {
 
  private:
   /// Post the R-group all-gather assembling the (Din/Q x Dout/P) weight block
-  /// into `w_block`; the caller waits the handle before reading it.
-  comm::CommHandle igathered_weights(sim::RankContext& ctx, dense::Matrix& w_block);
+  /// into `w_block_`; the caller waits the handle before reading it.
+  comm::CommHandle igathered_weights(sim::RankContext& ctx);
 
   /// Blocked aggregation (section 5.2), the one pipeline behind forward and
   /// backward: out = SpMM(A, x) over the P group (`fwd`) or SpMM(A^T, x)
@@ -275,9 +282,14 @@ class DistGcnLayer {
   std::vector<float> dw_slice_;
   dense::Adam adam_;
 
-  // Saved forward state.
-  dense::Matrix h_;      ///< aggregated H block (N'/R x Din'/Q)
-  dense::Matrix q_pre_;  ///< pre-activation combination output
+  // Layer-owned activation and gradient blocks (allocated per shape, then
+  // overwritten in full every pass). h_ and q_pre_ are the forward state the
+  // backward reads; q_pre_ is also the forward's result.
+  dense::Matrix h_;        ///< aggregated H block (N'/R x Din'/Q)
+  dense::Matrix q_pre_;    ///< combination output Q (N'/R x Dout'/P); relu(Q) on hidden layers
+  dense::Matrix dh_;       ///< dH = dQ W^T (N'/R x Din'/Q)
+  dense::Matrix df_in_;    ///< dF_in = SpMM(A^T, dH) (N'/P x Din'/Q), backward's result
+  dense::Matrix w_block_;  ///< gathered (Din'/Q x Dout'/P) weight block
 
   // In-flight backward state: the full dW block must stay alive until its
   // reduce-scatter (posted in backward, hidden behind the remaining backward

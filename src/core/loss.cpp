@@ -1,5 +1,7 @@
 #include "core/loss.hpp"
 
+#include <algorithm>
+
 #include "core/roles.hpp"
 #include "core/shard.hpp"
 #include "dense/ops.hpp"
@@ -11,7 +13,7 @@ namespace plexus::core {
 LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int last_layer,
                                   const DatasetView& view, const dense::Matrix& logits_block,
                                   const std::vector<std::uint8_t>& mask, double norm,
-                                  bool want_grad) {
+                                  LossBuffers& buf, bool want_grad) {
   const LayerRoles roles = roles_for_layer(last_layer);
   const Coords c = grid.coords_of(ctx.rank());
   const int ext_p = grid.extent(roles.p);
@@ -24,34 +26,52 @@ LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int
   const std::int64_t rows = logits_block.rows();
   const std::int64_t cols_block = logits_block.cols();
   const std::int64_t padded_classes = cols_block * ext_p;
+  const std::int64_t classes = view.num_classes();
   const Slice row_slice = uniform_slice(view.padded_nodes(), ext_r, coord_r);
   PLEXUS_CHECK(rows == row_slice.size(), "logits block rows mismatch");
 
-  // Gather the class dimension across the P-group and reassemble column blocks.
-  std::vector<float> gathered(static_cast<std::size_t>(rows * padded_classes));
-  ctx.comm.all_gather<float>(p_group, logits_block.flat(), gathered);
-  dense::Matrix full(rows, view.num_classes());
-  for (int p = 0; p < ext_p; ++p) {
-    const float* src = gathered.data() + static_cast<std::size_t>(p) * rows * cols_block;
-    const std::int64_t col0 = p * cols_block;
-    if (col0 >= view.num_classes()) break;
-    const std::int64_t ncols = std::min(cols_block, view.num_classes() - col0);
-    for (std::int64_t i = 0; i < rows; ++i) {
-      std::copy(src + i * cols_block, src + i * cols_block + ncols, full.row(i) + col0);
+  // Gather the class dimension across the P-group and reassemble column
+  // blocks — unless this block already is the whole valid-class matrix (one
+  // P member, no class padding), which the loss then reads in place. The
+  // gather is posted either way, so the comm accounting never depends on it.
+  buf.gathered.resize(static_cast<std::size_t>(rows * padded_classes));
+  ctx.comm.all_gather<float>(p_group, logits_block.flat(), buf.gathered);
+  const bool whole = ext_p == 1 && cols_block == classes;
+  if (!whole) {
+    ensure_shape(buf.full, rows, classes);
+    for (int p = 0; p < ext_p; ++p) {
+      const float* src = buf.gathered.data() + static_cast<std::size_t>(p) * rows * cols_block;
+      const std::int64_t col0 = p * cols_block;
+      if (col0 >= classes) break;
+      const std::int64_t ncols = std::min(cols_block, classes - col0);
+      for (std::int64_t i = 0; i < rows; ++i) {
+        std::copy(src + i * cols_block, src + i * cols_block + ncols, buf.full.row(i) + col0);
+      }
     }
   }
+  const dense::Matrix& full = whole ? logits_block : buf.full;
 
   // Row-local labels/mask.
-  std::vector<std::int32_t> labels(static_cast<std::size_t>(rows));
-  std::vector<std::uint8_t> row_mask(static_cast<std::size_t>(rows));
+  buf.labels.resize(static_cast<std::size_t>(rows));
+  buf.row_mask.resize(static_cast<std::size_t>(rows));
   for (std::int64_t i = 0; i < rows; ++i) {
-    labels[static_cast<std::size_t>(i)] = view.labels()[static_cast<std::size_t>(row_slice.begin + i)];
-    row_mask[static_cast<std::size_t>(i)] = mask[static_cast<std::size_t>(row_slice.begin + i)];
+    buf.labels[static_cast<std::size_t>(i)] =
+        view.labels()[static_cast<std::size_t>(row_slice.begin + i)];
+    buf.row_mask[static_cast<std::size_t>(i)] = mask[static_cast<std::size_t>(row_slice.begin + i)];
   }
 
-  dense::Matrix grad_full(rows, view.num_classes());
-  const auto ce = dense::softmax_cross_entropy(full, labels, row_mask, norm,
-                                               want_grad ? &grad_full : nullptr);
+  // The gradient goes straight to dlogits when the block is whole.
+  dense::Matrix* grad = nullptr;
+  if (want_grad) {
+    ensure_shape(buf.dlogits, rows, cols_block);
+    if (whole) {
+      grad = &buf.dlogits;
+    } else {
+      ensure_shape(buf.grad_full, rows, classes);
+      grad = &buf.grad_full;
+    }
+  }
+  const auto ce = dense::softmax_cross_entropy(full, buf.labels, buf.row_mask, norm, grad);
   const double t = sim::elementwise_time(*ctx.machine, rows * padded_classes, 4.0);
   ctx.comm.charge_compute(t);
 
@@ -66,27 +86,19 @@ LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int
   out.loss = total_count > 0 ? total_loss / total_count : 0.0;
   out.accuracy = total_count > 0 ? total_correct / total_count : 0.0;
 
-  if (want_grad) {
+  if (want_grad && !whole) {
     // Slice this rank's class-column block; padded columns get zero gradient.
-    out.dlogits = dense::Matrix(rows, cols_block);
     const std::int64_t col0 = static_cast<std::int64_t>(coord_p) * cols_block;
-    const std::int64_t ncols = std::max<std::int64_t>(
-        0, std::min(cols_block, view.num_classes() - col0));
+    const std::int64_t ncols = std::max<std::int64_t>(0, std::min(cols_block, classes - col0));
     for (std::int64_t i = 0; i < rows; ++i) {
+      float* dst = buf.dlogits.row(i);
       if (ncols > 0) {
-        std::copy(grad_full.row(i) + col0, grad_full.row(i) + col0 + ncols, out.dlogits.row(i));
+        std::copy(buf.grad_full.row(i) + col0, buf.grad_full.row(i) + col0 + ncols, dst);
       }
+      std::fill(dst + ncols, dst + cols_block, 0.0f);
     }
   }
   return out;
-}
-
-LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int last_layer,
-                                  const PlexusDataset& ds, const dense::Matrix& logits_block,
-                                  const std::vector<std::uint8_t>& mask, double norm,
-                                  bool want_grad) {
-  return distributed_softmax_ce(ctx, grid, last_layer, InMemoryDatasetView(ds), logits_block,
-                                mask, norm, want_grad);
 }
 
 }  // namespace plexus::core

@@ -93,12 +93,13 @@ DistGcn::DistGcn(sim::RankContext& ctx, std::unique_ptr<DatasetView> view, const
 DistGcn::DistGcn(sim::RankContext& ctx, const PlexusDataset& ds, const Grid3D& grid, GcnSpec spec)
     : DistGcn(ctx, std::make_unique<InMemoryDatasetView>(ds), grid, std::move(spec)) {}
 
-dense::Matrix DistGcn::gather_input_features(sim::RankContext& ctx) {
+void DistGcn::gather_input_features(sim::RankContext& ctx) {
   // One all-gather per aggregation row block: member m's sub-slice of block k
   // lands exactly on rows [b0 + m*len/R0, b0 + (m+1)*len/R0) — the reshard
   // layout — so the gathers reassemble the row-major block in place. Posting
-  // all blocks before waiting pipelines them on the R0 ring.
-  dense::Matrix block(f_block_rows_, f_block_cols_);
+  // all blocks before waiting pipelines them on the R0 ring. The blocks tile
+  // every row, so input_ is overwritten in full.
+  ensure_shape(input_, f_block_rows_, f_block_cols_);
   const auto gid = layers_[0]->r_group();
   std::vector<comm::CommHandle> inflight;
   inflight.reserve(f_bounds_.size());
@@ -109,25 +110,25 @@ dense::Matrix DistGcn::gather_input_features(sim::RankContext& ctx) {
     if (len == 0) continue;  // bounds are grid-derived, identical on all members
     const std::size_t n = static_cast<std::size_t>(len / f_r_ext_ * f_block_cols_);
     std::span<const float> in{f_slice_.data() + off, n};
-    std::span<float> out{block.row(b0), static_cast<std::size_t>(len * f_block_cols_)};
+    std::span<float> out{input_.row(b0), static_cast<std::size_t>(len * f_block_cols_)};
     inflight.push_back(ctx.comm.iall_gather<float>(gid, in, out));
     off += n;
   }
   for (auto& h : inflight) h.wait();
-  return block;
 }
 
-dense::Matrix DistGcn::forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
-                                   KernelTimers& timers) {
+const dense::Matrix& DistGcn::forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
+                                          KernelTimers& timers) {
   // Alg. 1 line 3: layer 0 all-gathers the flat-sharded features across Z (R0);
-  // later layers receive full blocks from the previous layer (section 3.2).
-  dense::Matrix f = gather_input_features(ctx);
+  // later layers read the previous layer's output block in place (section 3.2).
+  gather_input_features(ctx);
+  const dense::Matrix* f = &input_;
   const int L = spec_.num_layers();
   for (int l = 0; l < L; ++l) {
-    f = layers_[static_cast<std::size_t>(l)]->forward(ctx, f, /*last=*/l == L - 1, epoch_seed,
-                                                      timers);
+    f = &layers_[static_cast<std::size_t>(l)]->forward(ctx, *f, /*last=*/l == L - 1, epoch_seed,
+                                                       timers);
   }
-  return f;
+  return *f;
 }
 
 EpochStats DistGcn::train_epoch(sim::RankContext& ctx, int epoch) {
@@ -139,26 +140,27 @@ EpochStats DistGcn::train_epoch(sim::RankContext& ctx, int epoch) {
   const std::uint64_t epoch_seed = util::hash_combine(spec_.seed, 0xe90c000 + epoch);
   const int L = spec_.num_layers();
 
-  const dense::Matrix logits = forward_all(ctx, epoch_seed, timers);
+  const dense::Matrix& logits = forward_all(ctx, epoch_seed, timers);
 
-  LossResult loss = distributed_softmax_ce(ctx, *grid_, L - 1, *view_, logits,
-                                           view_->mask(Split::Train),
-                                           static_cast<double>(view_->train_total()));
+  const LossResult loss = distributed_softmax_ce(ctx, *grid_, L - 1, *view_, logits,
+                                                 view_->mask(Split::Train),
+                                                 static_cast<double>(view_->train_total()),
+                                                 loss_buf_);
 
   // Backward sweep (Alg. 2 per layer). Between layers the partial dF_in is
   // all-reduced over that layer's R group — fused into the layer's blocked
   // dF SpMM so the per-block collective pipelines behind compute; at layer 0
   // it is reduce-scattered per block onto the resharded trainable feature
-  // slices instead (section 3.2), riding the same pipeline.
-  dense::Matrix df = std::move(loss.dlogits);
+  // slices instead (section 3.2), riding the same pipeline. Each layer
+  // consumes the gradient block it is handed in place and returns its own
+  // dF_in, already reduced over its R group for l > 0.
+  dense::Matrix* df = &loss_buf_.dlogits;
   for (int l = L - 1; l >= 0; --l) {
     auto& layer = *layers_[static_cast<std::size_t>(l)];
     const FinalReduce mode = l > 0 ? FinalReduce::AllReduce
                                    : (spec_.train_input_features ? FinalReduce::ReduceScatter
                                                                  : FinalReduce::None);
-    dense::Matrix df_partial =
-        layer.backward(ctx, df, /*last=*/l == L - 1, timers, mode, df_slice_);
-    if (l > 0) df = std::move(df_partial);  // already reduced over the layer's R group
+    df = &layer.backward(ctx, *df, /*last=*/l == L - 1, timers, mode, df_slice_);
   }
 
   // Optimizer step.
@@ -360,10 +362,10 @@ dense::Matrix DistGcn::forward_logits(sim::RankContext& ctx) {
 
 double DistGcn::evaluate(sim::RankContext& ctx, const std::vector<std::uint8_t>& mask) {
   KernelTimers timers;
-  const dense::Matrix logits = forward_all(ctx, /*epoch_seed=*/0, timers);
+  const dense::Matrix& logits = forward_all(ctx, /*epoch_seed=*/0, timers);
   const LossResult r = distributed_softmax_ce(ctx, *grid_, spec_.num_layers() - 1, *view_, logits,
                                               mask, static_cast<double>(view_->train_total()),
-                                              /*want_grad=*/false);
+                                              loss_buf_, /*want_grad=*/false);
   return r.accuracy;
 }
 

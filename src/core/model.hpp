@@ -85,7 +85,8 @@ class DistGcn {
   /// Forward-only accuracy on a mask (e.g. validation/test split).
   double evaluate(sim::RankContext& ctx, const std::vector<std::uint8_t>& mask);
 
-  /// Forward pass returning this rank's logits block (tests / inference).
+  /// Forward pass returning a copy of this rank's logits block (tests /
+  /// inference).
   dense::Matrix forward_logits(sim::RankContext& ctx);
 
   int num_layers() const { return spec_.num_layers(); }
@@ -113,9 +114,12 @@ class DistGcn {
   DistGcn(sim::RankContext& ctx, std::unique_ptr<DatasetView> view, const Grid3D& grid,
           GcnSpec spec);
 
-  dense::Matrix gather_input_features(sim::RankContext& ctx);
-  dense::Matrix forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
-                            KernelTimers& timers);
+  /// Gather layer 0's input block into `input_` (see the .cpp).
+  void gather_input_features(sim::RankContext& ctx);
+  /// Forward through every layer; returns the last layer's output block,
+  /// valid until the next forward.
+  const dense::Matrix& forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
+                                   KernelTimers& timers);
 
   std::unique_ptr<DatasetView> owned_view_;  ///< set by the PlexusDataset ctor
   const DatasetView* view_;
@@ -128,6 +132,12 @@ class DistGcn {
   /// windows for the layers' software pipelines. Null in resident mode.
   std::unique_ptr<ShardStream> stream_;
   std::vector<std::unique_ptr<DistGcnLayer>> layers_;
+
+  // Epoch buffers reused across epochs (the layers own the rest): the
+  // gathered (N/P0 x D0/Q0) input block and the loss scratch, whose dlogits
+  // seeds the backward sweep.
+  dense::Matrix input_;
+  LossBuffers loss_buf_;
 
   // Trainable input features: a 1/R0 slice of the (N/P0 x D0/Q0) block,
   // resharded row-major against the blocked-aggregation row blocks: for each

@@ -33,6 +33,14 @@ struct BlockShard {
 BlockShard matrix_shard(std::int64_t rows, std::int64_t cols, const Grid3D& grid,
                         const Coords& c, Axis row_axis, Axis col_axis);
 
+/// Give `m` the shape (rows x cols), reallocating only when its shape differs
+/// — how the epoch reuses its activation and gradient blocks. The contents
+/// are unspecified afterwards (zeros after a reallocation, the old values
+/// otherwise), so the caller must overwrite every element.
+inline void ensure_shape(dense::Matrix& m, std::int64_t rows, std::int64_t cols) {
+  if (m.rows() != rows || m.cols() != cols) m = dense::Matrix(rows, cols);
+}
+
 /// Dense copy of a global matrix's (rows x cols) sub-block.
 dense::Matrix extract_block(const dense::Matrix& global, const Slice& rows, const Slice& cols);
 

@@ -14,7 +14,7 @@ namespace plexus::dense {
 void relu(const Matrix& x, Matrix& out);
 Matrix relu(const Matrix& x);
 
-/// dx = dy * 1[pre_activation > 0], elementwise.
+/// dx = dy * 1[pre_activation > 0], elementwise (dx may alias dy).
 void relu_backward(const Matrix& pre_activation, const Matrix& dy, Matrix& dx);
 
 /// Result of a masked softmax cross-entropy evaluation over a *row slice* of

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/cost.hpp"
 #include "comm/world.hpp"
+#include "util/simd.hpp"
 
 namespace pc = plexus::comm;
 
@@ -151,4 +154,72 @@ TEST(CommStats, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(s.total_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(s.total_hidden_seconds(), 0.0);
   EXPECT_EQ(s.entry(pc::Collective::AllToAll).calls, 0);
+}
+
+TEST(CommStats, OneMemberAllReduceIsIdentityButStillAccounted) {
+  // A one-member fp32 all-reduce moves no bytes (SimTransport skips the
+  // scratch round trip), yet it is posted, counted and clocked exactly as
+  // before. The expected figures were recorded by running this two-op
+  // sequence on the copying design: 2 calls, 4096 + 16384 logical bytes,
+  // 0 wire bytes, 0 s exposed, 0 s hidden, clock at the 2e-6 s of compute.
+  pc::LinkParams link;
+  link.bandwidth = 10e9;
+  link.latency = 1e-6;
+  pc::World world(1);
+  const pc::GroupId g = world.create_group({0}, link);
+  pc::SimClock clock;
+  pc::Communicator comm(world, 0, &clock);
+  comm.set_wire_precision(pc::WirePrecision::Fp32);
+
+  std::vector<float> small(1024), big(4096);
+  for (std::size_t i = 0; i < small.size(); ++i) small[i] = 0.37f * static_cast<float>(i) - 11.0f;
+  small[0] = -0.0f;
+  small[1] = std::numeric_limits<float>::quiet_NaN();
+  small[2] = std::numeric_limits<float>::denorm_min();
+  small[3] = -std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = 1.0f / static_cast<float>(i + 3);
+  const auto small0 = small;
+  const auto big0 = big;
+
+  comm.all_reduce_sum<float>(g, {small.data(), small.size()});
+  auto h = comm.iall_reduce_sum<float>(g, {big.data(), big.size()});
+  comm.charge_compute(2e-6);
+  h.wait();
+
+  EXPECT_EQ(std::memcmp(small.data(), small0.data(), small.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(big.data(), big0.data(), big.size() * sizeof(float)), 0);
+  const auto& e = comm.stats().entry(pc::Collective::AllReduce);
+  EXPECT_EQ(e.calls, 2);
+  EXPECT_EQ(e.bytes, 20480);
+  EXPECT_EQ(e.wire_bytes, 0);
+  EXPECT_EQ(e.sim_seconds, 0.0);
+  EXPECT_EQ(e.hidden_seconds, 0.0);
+  EXPECT_EQ(comm.stats().total_bytes(), 20480);
+  EXPECT_EQ(comm.stats().total_wire_bytes(), 0);
+  EXPECT_EQ(clock.time(), 2e-6);
+}
+
+TEST(CommStats, OneMemberBf16AllReduceStillRoundsThroughTheWire) {
+  // The identity shortcut is fp32-only: a bf16-wire all-reduce on one member
+  // still returns the bf16-rounded values (and is accounted at wire width).
+  pc::World world(1);
+  const pc::GroupId g = world.create_group({0});
+  pc::SimClock clock;
+  pc::Communicator comm(world, 0, &clock);
+  comm.set_wire_precision(pc::WirePrecision::Bf16);
+
+  std::vector<float> buf(333);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = 1.0f + 0.001f * static_cast<float>(i);
+  std::vector<std::uint16_t> wire(buf.size());
+  std::vector<float> want(buf.size());
+  plexus::simd::bf16_pack(buf.data(), wire.data(), static_cast<std::int64_t>(buf.size()));
+  plexus::simd::bf16_unpack(wire.data(), want.data(), static_cast<std::int64_t>(buf.size()));
+  ASSERT_NE(std::memcmp(buf.data(), want.data(), buf.size() * sizeof(float)), 0)
+      << "inputs must not be bf16-exact, or the check proves nothing";
+
+  comm.all_reduce_sum<float>(g, {buf.data(), buf.size()});
+  EXPECT_EQ(std::memcmp(buf.data(), want.data(), buf.size() * sizeof(float)), 0);
+  const auto& e = comm.stats().entry(pc::Collective::AllReduce);
+  EXPECT_EQ(e.calls, 1);
+  EXPECT_EQ(e.bytes, static_cast<std::int64_t>(buf.size() * sizeof(std::uint16_t)));
 }

@@ -234,6 +234,53 @@ TEST(SimdKernels, ElementwiseAndAdamBitwiseAcrossTargetsAndWidths) {
   }
 }
 
+TEST(SimdKernels, ReluInPlaceBitwiseEqualsOutOfPlace) {
+  // The layer applies relu over Q in place and relu_backward over dF_out in
+  // place (core/layer.cpp); both must be bitwise the out-of-place result on
+  // every target, including the vector tails.
+  for (const std::int64_t n : kWidths) {
+    const auto sz = static_cast<std::size_t>(n);
+    const auto x = random_floats(sz, 71);
+    const auto dy = random_floats(sz, 73);
+    for (const ps::Target t : supported_targets()) {
+      std::vector<float> want(sz), got = x;
+      ps::kernels(t).relu(x.data(), want.data(), n);
+      ps::kernels(t).relu(got.data(), got.data(), n);
+      expect_bitwise_equal(got, want, "relu in place", t, n);
+
+      std::vector<float> dx_want(sz), dx_got = dy;
+      ps::kernels(t).relu_backward(x.data(), dy.data(), dx_want.data(), n);
+      ps::kernels(t).relu_backward(x.data(), dx_got.data(), dx_got.data(), n);
+      expect_bitwise_equal(dx_got, dx_want, "relu_backward in place", t, n);
+    }
+  }
+}
+
+TEST(SimdKernels, ReluBackwardThroughReluOutputMatchesPreActivation) {
+  // Hidden layers keep only relu(Q), so backward masks with relu(Q) instead
+  // of Q: relu(q) > 0 must hold exactly when q > 0 for every float —
+  // signed zeros, NaNs, infinities, denormals and ordinary values alike.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> q = {0.0f,    -0.0f,   kNaN,         -kNaN,     kInf,
+                          -kInf,   kDenorm, -kDenorm,     1e-38f,    -1e-38f,
+                          1.0f,    -1.0f,   std::numeric_limits<float>::max(),
+                          std::numeric_limits<float>::lowest()};
+  const auto noise = random_floats(77, 79, -3.0f, 3.0f);
+  q.insert(q.end(), noise.begin(), noise.end());
+  const auto n = static_cast<std::int64_t>(q.size());
+  const auto dy = random_floats(q.size(), 83);
+  for (const ps::Target t : supported_targets()) {
+    const auto& k = ps::kernels(t);
+    std::vector<float> fq(q.size()), want(q.size()), got(q.size());
+    k.relu(q.data(), fq.data(), n);
+    k.relu_backward(q.data(), dy.data(), want.data(), n);
+    k.relu_backward(fq.data(), dy.data(), got.data(), n);
+    expect_bitwise_equal(got, want, "relu_backward(relu(q))", t, n);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // bf16 wire-format properties.
 
