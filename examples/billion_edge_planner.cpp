@@ -163,8 +163,7 @@ int main(int argc, char** argv) {
   using plexus::util::ArgParser;
   ArgParser args("billion_edge_planner",
                  "Plan billion-edge full-graph training; --run-proxy streams a generated "
-                 "proxy from disk under an RSS budget.",
-                 "");
+                 "proxy from disk under an RSS budget.");
   args.add_flag("run-proxy", "", "generate a proxy to shards and train out-of-core", "");
   args.add_flag("scale", "n", "proxy scale: log2(#nodes)", "24");
   args.add_flag("rss-budget", "MB", "streaming block-cache budget in MB", "256");

@@ -8,8 +8,7 @@
 // With --node, answers that single node and exits. Otherwise fires --queries
 // requests with a Zipfian popularity mix (--zipf exponent), reports accuracy
 // against the checkpoint's ground-truth labels, sustained QPS and the
-// latency/queue counters. The positional form `plexus_serve [checkpoint]
-// [queries]` still works but is deprecated.
+// latency/queue counters.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -21,14 +20,12 @@
 #include "serve/zipf.hpp"
 #include "util/arg_parser.hpp"
 #include "util/enum_names.hpp"
-#include "util/parse.hpp"
 #include "util/simd.hpp"
 
 int main(int argc, char** argv) {
   using plexus::util::ArgParser;
   ArgParser args("plexus_serve",
-                 "Serve node-classification queries from a Plexus checkpoint directory.",
-                 "[checkpoint] [queries]");
+                 "Serve node-classification queries from a Plexus checkpoint directory.");
   args.add_flag("checkpoint", "dir", "checkpoint directory written by plexus_train");
   args.add_flag("queries", "n", "Zipfian queries to fire", "1000");
   args.add_flag("zipf", "s", "Zipf exponent of the request mix (0 = uniform)", "0.99");
@@ -49,23 +46,14 @@ int main(int argc, char** argv) {
       return 1;
     case ArgParser::Status::Ok: break;
   }
-  const auto& pos = args.positionals();
-  if (!pos.empty()) {
-    std::fprintf(stderr,
-                 "plexus_serve: note: positional arguments are deprecated; use --key=value "
-                 "flags (--help)\n");
-  }
-  const std::string dir =
-      !pos.empty() && !args.is_set("checkpoint") ? pos[0] : args.value("checkpoint");
+  const std::string& dir = args.value("checkpoint");
   if (dir.empty()) {
     std::fprintf(stderr, "plexus_serve: --checkpoint is required\n%s", args.usage().c_str());
     return 1;
   }
   std::int64_t queries = 0;
-  const std::string queries_arg =
-      pos.size() > 1 && !args.is_set("queries") ? pos[1] : args.value("queries");
-  if (!plexus::util::parse_int64(queries_arg, queries) || queries < 1) {
-    std::fprintf(stderr, "plexus_serve: bad query count '%s'\n%s", queries_arg.c_str(),
+  if (!args.value_int64("queries", queries) || queries < 1) {
+    std::fprintf(stderr, "plexus_serve: bad --queries '%s'\n%s", args.value("queries").c_str(),
                  args.usage().c_str());
     return 1;
   }

@@ -2,16 +2,16 @@
 // user would script:
 //
 //   ./build/examples/plexus_train --dataset=ogbn-products --nodes=8000
-//       --grid=4x2x2 --epochs=10 --backend=local --agg=sparse
+//       --grid=4x2x2 --epochs=10 --backend=sim --agg=sparse
 //   ./build/examples/plexus_train --gpus=16        # perf model picks the grid
 //   ./build/examples/plexus_train --checkpoint=/tmp/ckpt --checkpoint-every=2
 //   ./build/examples/plexus_train --resume=/tmp/ckpt --epochs=10
 //
 // dataset: any Table 4 name (a scaled proxy is generated at --nodes scale).
 // --gpus asks the performance model for the best grid at that GPU budget
-// (section 4.3). --backend picks the byte transport (sim | local, plus mpi in
+// (section 4.3). --backend picks the byte transport (sim, plus mpi in
 // PLEXUS_WITH_MPI builds; default: PLEXUS_BACKEND, else sim) — losses are
-// bitwise-identical across all of them. The mpi backend runs one process per
+// bitwise-identical across them. The mpi backend runs one process per
 // rank: launch under `mpirun -np <volume>`; rank 0 preprocesses and writes a
 // sharded dataset directory (PLEXUS_SHARD_DIR, default under /tmp), every
 // rank then streams only its own shard's block files (see docs/COMM.md).
@@ -32,10 +32,6 @@
 // PLEXUS_RSS_MB, else unbounded) with an IO prefetch pipeline of
 // --prefetch-depth blocks (default: adaptive). Epoch losses are
 // bitwise-identical to the in-memory run over the same proxy.
-//
-// The old positional form `plexus_train [dataset] [nodes] [gx] [gy] [gz]
-// [epochs] [backend] [agg]` (gx=0 = model-chosen gy-GPU grid) still works but
-// is deprecated.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -61,7 +57,7 @@ bool parse_grid(const std::string& s, int& gx, int& gy, int& gz) {
   if (b == std::string::npos) return false;
   return plexus::util::parse_int(s.substr(0, a), gx) &&
          plexus::util::parse_int(s.substr(a + 1, b - a - 1), gy) &&
-         plexus::util::parse_int(s.substr(b + 1), gz) && gx >= 0 && gy >= 1 && gz >= 1;
+         plexus::util::parse_int(s.substr(b + 1), gz) && gx >= 1 && gy >= 1 && gz >= 1;
 }
 
 int fail(const plexus::util::ArgParser& args, const std::string& what) {
@@ -73,8 +69,7 @@ int fail(const plexus::util::ArgParser& args, const std::string& what) {
 
 int main(int argc, char** argv) {
   using plexus::util::ArgParser;
-  ArgParser args("plexus_train", "Train the Plexus 3D-parallel GCN on a proxy dataset.",
-                 "[dataset] [nodes] [gx] [gy] [gz] [epochs] [backend] [agg]");
+  ArgParser args("plexus_train", "Train the Plexus 3D-parallel GCN on a proxy dataset.");
   args.add_flag("dataset", "name", "Table 4 dataset (proxy generated at --nodes scale)",
                 "ogbn-products");
   args.add_flag("nodes", "n", "proxy node count", "4000");
@@ -113,54 +108,31 @@ int main(int argc, char** argv) {
     case ArgParser::Status::Ok: break;
   }
 
-  // Deprecated positional form: fills any value its matching flag didn't set.
-  const auto& pos = args.positionals();
-  if (!pos.empty()) {
-    std::fprintf(stderr,
-                 "plexus_train: note: positional arguments are deprecated; use --key=value "
-                 "flags (--help)\n");
-  }
-  const auto positional_or = [&](std::size_t i, std::string_view flag) {
-    return i < pos.size() && !args.is_set(flag) ? pos[i] : std::string(args.value(flag));
-  };
-
-  const std::string dataset = positional_or(0, "dataset");
+  const std::string dataset = args.value("dataset");
   std::int64_t nodes = 0;
-  if (!plexus::util::parse_int64(positional_or(1, "nodes"), nodes) || nodes < 1) {
-    return fail(args, "bad node count '" + positional_or(1, "nodes") + "'");
+  if (!args.value_int64("nodes", nodes) || nodes < 1) {
+    return fail(args, "bad --nodes '" + args.value("nodes") + "'");
   }
   int gx = 2, gy = 2, gz = 2;
-  if (pos.size() > 2 && !args.is_set("grid")) {
-    // Legacy split grid args: [gx] [gy] [gz]; gx=0 = model-chosen gy-GPU grid.
-    if (!plexus::util::parse_int(pos[2], gx) || gx < 0) {
-      return fail(args, "bad grid dimension gx '" + pos[2] + "'");
-    }
-    if (pos.size() > 3 && (!plexus::util::parse_int(pos[3], gy) || gy < 1)) {
-      return fail(args, "bad grid dimension gy '" + pos[3] + "'");
-    }
-    if (pos.size() > 4 && (!plexus::util::parse_int(pos[4], gz) || gz < 1)) {
-      return fail(args, "bad grid dimension gz '" + pos[4] + "'");
-    }
-  } else if (!parse_grid(args.value("grid"), gx, gy, gz)) {
+  if (!parse_grid(args.value("grid"), gx, gy, gz)) {
     return fail(args, "bad --grid '" + args.value("grid") + "' (expected XxYxZ)");
   }
   int gpu_budget = 0;  // > 0: ask the perf model
   if (args.is_set("gpus") && (!args.value_int("gpus", gpu_budget) || gpu_budget < 1)) {
     return fail(args, "bad --gpus '" + args.value("gpus") + "'");
   }
-  if (gx == 0) gpu_budget = gy;  // legacy spelling of the same request
   int epochs = 0;
-  if (!plexus::util::parse_int(positional_or(5, "epochs"), epochs) || epochs < 1) {
-    return fail(args, "bad epoch count '" + positional_or(5, "epochs") + "'");
+  if (!args.value_int("epochs", epochs) || epochs < 1) {
+    return fail(args, "bad --epochs '" + args.value("epochs") + "'");
   }
   auto backend = plexus::comm::default_backend();
-  const std::string backend_arg = positional_or(6, "backend");
+  const std::string& backend_arg = args.value("backend");
   if (!backend_arg.empty() && !plexus::comm::backend_from_string(backend_arg, backend)) {
     return fail(args, plexus::util::enum_error<plexus::comm::Backend>(
                           backend_arg, plexus::comm::backend_choices()));
   }
   auto agg = plexus::core::env_aggregation();
-  const std::string agg_arg = positional_or(7, "agg");
+  const std::string& agg_arg = args.value("agg");
   if (!agg_arg.empty()) {
     plexus::core::Aggregation a = plexus::core::Aggregation::Dense;
     if (!plexus::util::enum_from_string(agg_arg, a)) {

@@ -10,13 +10,12 @@
 ///
 /// The communicator is the **cost / accounting layer**. *How the payload
 /// bytes travel* is delegated to a `Transport` (comm/transport.hpp): the Sim
-/// backend reads peers' published buffers directly, the Local backend runs
-/// real ring/staged schedules between the rank threads, and the optional MPI
-/// backend maps each op onto a nonblocking MPI request on a per-group
-/// sub-communicator. Everything in this file — post-time clocks, link-busy
-/// horizons, exposed/hidden attribution, stats, timeline — is
-/// backend-invariant for the in-process transports: clocks, stats and losses
-/// are bitwise-identical under Sim and Local.
+/// backend reads peers' published buffers directly between the rank
+/// threads, and the optional MPI backend maps each op onto a nonblocking MPI
+/// request on a per-group sub-communicator. Everything in this file —
+/// post-time clocks, link-busy horizons, exposed/hidden attribution, stats,
+/// timeline — is backend-invariant: clocks, stats and losses are
+/// bitwise-identical under Sim and MPI.
 ///
 /// ## Nonblocking execution model
 ///

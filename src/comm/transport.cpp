@@ -1,8 +1,6 @@
 #include "comm/transport.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -27,6 +25,41 @@ void Transport::alltoallv(GroupShared&, const CollArgs&,
 }
 
 namespace {
+
+/// Flat variable all-to-all movement (CollArgs::send_counts != nullptr).
+/// Each member publishes its send_counts through `g.xfer_slots` (one extra
+/// barrier), then copies its chunk out of every source's packed send buffer
+/// in canonical member order. Zero-length chunks are skipped, never
+/// dereferenced, so empty send lists are safe.
+void flat_alltoallv_move(GroupShared& g, const CollArgs& a) {
+  const int G = g.size();
+  // Publish my per-destination counts so every peer can locate its chunk
+  // inside my packed send buffer; g.slots[m] already holds member m's send
+  // pointer from the protocol's publish step.
+  g.xfer_slots[static_cast<std::size_t>(a.pos)] = a.send_counts;
+  g.barrier->arrive_and_wait();
+  std::vector<std::int64_t> rdispl(static_cast<std::size_t>(G) + 1, 0);
+  for (int m = 0; m < G; ++m) {
+    rdispl[static_cast<std::size_t>(m) + 1] = rdispl[static_cast<std::size_t>(m)] +
+                                              a.recv_counts[m];
+  }
+  auto* dst = static_cast<unsigned char*>(a.recv);
+  for (int m = 0; m < G; ++m) {
+    const auto* their_counts =
+        static_cast<const std::int64_t*>(g.xfer_slots[static_cast<std::size_t>(m)]);
+    std::int64_t src_off = 0;
+    for (int j = 0; j < a.pos; ++j) src_off += their_counts[j];
+    const std::int64_t n = their_counts[a.pos];
+    PLEXUS_CHECK(n == a.recv_counts[m], "iall_to_all_v: send/recv counts inconsistent");
+    if (n == 0) continue;  // empty chunk: source pointer may be null, never touch it
+    const auto* src = static_cast<const unsigned char*>(g.slots[static_cast<std::size_t>(m)]) +
+                      static_cast<std::size_t>(src_off) * a.elem;
+    std::memcpy(dst + static_cast<std::size_t>(rdispl[static_cast<std::size_t>(m)]) * a.elem,
+                src, static_cast<std::size_t>(n) * a.elem);
+  }
+  // No trailing barrier: the protocol's completion barrier seals these reads
+  // before any member's next op republishes the slots.
+}
 
 /// The historic shared-slot movement: peers read each other's published
 /// buffers directly. Kept bit-for-bit identical to the pre-transport
@@ -88,7 +121,7 @@ class SimTransport final : public Transport {
       }
       case Collective::AllToAll: {
         if (a.send_counts != nullptr) {
-          detail::flat_alltoallv_move(g, a, /*rotated=*/false);
+          flat_alltoallv_move(g, a);
           return;
         }
         if (nb == 0) return;
@@ -116,47 +149,12 @@ class SimTransport final : public Transport {
   }
 };
 
-}  // namespace
-
-namespace detail {
-
-void flat_alltoallv_move(GroupShared& g, const CollArgs& a, bool rotated) {
-  const int G = g.size();
-  // Publish my per-destination counts so every peer can locate its chunk
-  // inside my packed send buffer; g.slots[m] already holds member m's send
-  // pointer from the protocol's publish step.
-  g.xfer_slots[static_cast<std::size_t>(a.pos)] = a.send_counts;
-  g.barrier->arrive_and_wait();
-  std::vector<std::int64_t> rdispl(static_cast<std::size_t>(G) + 1, 0);
-  for (int m = 0; m < G; ++m) {
-    rdispl[static_cast<std::size_t>(m) + 1] = rdispl[static_cast<std::size_t>(m)] +
-                                              a.recv_counts[m];
-  }
-  auto* dst = static_cast<unsigned char*>(a.recv);
-  for (int s = 0; s < G; ++s) {
-    const int m = rotated ? (a.pos + s) % G : s;
-    const auto* their_counts =
-        static_cast<const std::int64_t*>(g.xfer_slots[static_cast<std::size_t>(m)]);
-    std::int64_t src_off = 0;
-    for (int j = 0; j < a.pos; ++j) src_off += their_counts[j];
-    const std::int64_t n = their_counts[a.pos];
-    PLEXUS_CHECK(n == a.recv_counts[m], "iall_to_all_v: send/recv counts inconsistent");
-    if (n == 0) continue;  // empty chunk: source pointer may be null, never touch it
-    const auto* src = static_cast<const unsigned char*>(g.slots[static_cast<std::size_t>(m)]) +
-                      static_cast<std::size_t>(src_off) * a.elem;
-    std::memcpy(dst + static_cast<std::size_t>(rdispl[static_cast<std::size_t>(m)]) * a.elem,
-                src, static_cast<std::size_t>(n) * a.elem);
-  }
-  // No trailing barrier: the protocol's completion barrier seals these reads
-  // before any member's next op republishes the slots.
-}
-
 Transport& sim_transport() {
   static SimTransport t;
   return t;
 }
 
-}  // namespace detail
+}  // namespace
 
 const char* backend_name(Backend b) { return util::enum_name(b); }
 
@@ -180,11 +178,7 @@ namespace {
 std::atomic<int> g_backend_override{-1};
 
 Backend env_backend() {
-  const char* s = std::getenv("PLEXUS_BACKEND");
-  if (s == nullptr || *s == '\0') return Backend::Sim;
-  Backend b = Backend::Sim;
-  if (!backend_from_string(s, b)) return Backend::Sim;  // malformed: default
-  return b;
+  return util::env_enum<Backend>("PLEXUS_BACKEND", backend_choices()).value_or(Backend::Sim);
 }
 
 }  // namespace
@@ -226,11 +220,7 @@ namespace {
 std::atomic<int> g_wire_override{-1};
 
 WirePrecision env_wire_precision() {
-  const char* s = std::getenv("PLEXUS_WIRE");
-  if (s == nullptr || *s == '\0') return WirePrecision::Fp32;
-  WirePrecision w = WirePrecision::Fp32;
-  if (!wire_precision_from_string(s, w)) return WirePrecision::Fp32;  // malformed: default
-  return w;
+  return util::env_enum<WirePrecision>("PLEXUS_WIRE").value_or(WirePrecision::Fp32);
 }
 
 }  // namespace
@@ -262,8 +252,7 @@ ScopedWirePrecision::~ScopedWirePrecision() {
 
 Transport& transport_for(Backend b) {
   switch (b) {
-    case Backend::Sim: return detail::sim_transport();
-    case Backend::Local: return detail::local_transport();
+    case Backend::Sim: return sim_transport();
     case Backend::Mpi:
 #ifdef PLEXUS_WITH_MPI
       return detail::mpi_transport();
@@ -272,7 +261,7 @@ Transport& transport_for(Backend b) {
 #endif
   }
   PLEXUS_CHECK(false, "unknown backend");
-  return detail::sim_transport();
+  return sim_transport();
 }
 
 bool mpi_transport_available() {

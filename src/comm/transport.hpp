@@ -7,42 +7,32 @@
 ///  * **cost / accounting** (communicator.hpp) — post-time clocks, the ring
 ///    cost model, link-busy horizons, exposed-vs-hidden attribution,
 ///    CommStats and the timeline. This layer is backend-invariant: simulated
-///    clocks, stats and losses are bitwise-identical for every in-process
-///    transport.
+///    clocks, stats and losses are bitwise-identical for every transport.
 ///  * **byte movement** (this file) — how the payload of a collective
 ///    actually travels between ranks. Selected per Communicator via a
 ///    `Transport`.
 ///
-/// Three backends:
+/// Two backends:
 ///
-///  * `Backend::Sim` — the shared-slot simulator movement: every member
-///    publishes its buffer pointer and peers read it directly. This is the
-///    historic behaviour, preserved bit for bit (same copies, same float
-///    summation order).
-///  * `Backend::Local` — really moves bytes between the in-process rank
-///    threads the way a network transport would: ring all-gather and ring
-///    broadcast relay hop neighbour-to-neighbour with a group-barrier per
-///    step, all-to-all uses a rotated exchange schedule, and reductions stage
-///    every peer contribution into a receive buffer before combining. The
-///    combination order is canonical (member 0, 1, …, G-1 — the same
-///    left-fold the Sim backend uses), so results stay bitwise-identical to
-///    Sim: determinism is part of the transport conformance contract, the
-///    reason a true ring *reduction* (whose partial sums nest in ring order)
-///    is deliberately not used.
+///  * `Backend::Sim` — the one in-process movement: every member publishes
+///    its buffer pointer and peers read it directly between the rank
+///    threads. Reductions fold contributions in canonical member order
+///    (member 0, 1, …, G-1). Sim is the reference every other backend is
+///    checked against bit for bit.
 ///  * `Backend::Mpi` — optional, compiled behind the `PLEXUS_WITH_MPI` CMake
 ///    option: maps each CommHandle onto MPI collectives on a per-group
 ///    sub-communicator (`MPI_Comm_create_group` over the group's member
 ///    list). One process per rank. Reductions gather every contribution and
 ///    fold locally in canonical member order (never `MPI_SUM`, whose order
 ///    is implementation-defined), so float results are bitwise-identical to
-///    the in-process backends. Supports the SimClock: each op piggybacks one
-///    fused max-allreduce of {posted clock, payload bytes} on the collective,
-///    which is all the completion math needs (see docs/COMM.md).
+///    Sim. Supports the SimClock: each op piggybacks one fused max-allreduce
+///    of {posted clock, payload bytes} on the collective, which is all the
+///    completion math needs (see docs/COMM.md).
 ///
-/// In-process transports implement `move()` (+ optional `finalize()`), which
-/// the Communicator runs inside the group's barrier protocol. Distributed
-/// transports set `uses_group_protocol() == false` and implement `execute()`,
-/// owning the whole collective.
+/// The in-process transport implements `move()` (+ optional `finalize()`),
+/// which the Communicator runs inside the group's barrier protocol.
+/// Distributed transports set `uses_group_protocol() == false` and implement
+/// `execute()`, owning the whole collective.
 
 #include <cstddef>
 #include <cstdint>
@@ -60,11 +50,10 @@ namespace plexus::comm {
 
 /// Byte-transport backend selector. Resolution: explicit API argument, else
 /// `set_default_backend()`, else the `PLEXUS_BACKEND` environment variable
-/// (`sim` | `local` | `mpi`), else Sim.
+/// (`sim` | `mpi`), else Sim.
 enum class Backend {
-  Sim,    ///< shared-slot simulator movement (historic behaviour)
-  Local,  ///< in-process ring/staged movement between rank threads
-  Mpi,    ///< real MPI nonblocking collectives (requires PLEXUS_WITH_MPI)
+  Sim,  ///< in-process shared-slot movement between rank threads
+  Mpi,  ///< real MPI nonblocking collectives (requires PLEXUS_WITH_MPI)
 };
 
 /// Element type of a collective payload, for backends (MPI) that need a real
@@ -166,14 +155,14 @@ struct CollArgs {
   /// Effective accumulator element size (see `acc_elem`).
   std::size_t accumulator_elem() const { return acc_elem != 0 ? acc_elem : elem; }
   /// Scalar reductions (all_reduce_{max,sum}_scalar) for non-protocol
-  /// backends; in-process backends exchange scalars through the group's
+  /// backends; the in-process backend exchanges scalars through the group's
   /// clock-slot aux values instead.
   bool scalar_op = false;
   bool scalar_is_max = false;
   double scalar_value = 0.0;
 };
 
-/// A byte-movement backend. Stateless (Sim/Local) or process-global (MPI)
+/// A byte-movement backend. Stateless (Sim) or process-global (MPI)
 /// singletons returned by `transport_for`; shared by every Communicator that
 /// selects them, so implementations must be thread-safe across concurrent
 /// rank and channel threads.
@@ -186,14 +175,14 @@ class Transport {
 
   /// True when the transport moves bytes inside the shared-memory group
   /// protocol (publish / barrier / read phase / barrier) — the in-process
-  /// backends. False for distributed backends (MPI), which own the whole op
-  /// via execute() and never touch group barriers or clock slots.
+  /// Sim backend. False for distributed backends (MPI), which own the whole
+  /// op via execute() and never touch group barriers or clock slots.
   virtual bool uses_group_protocol() const { return true; }
 
   /// True when Communicators over this transport may carry a SimClock.
-  /// In-process transports exchange post clocks through the group's clock
-  /// slots; a distributed transport must override this (and piggyback the
-  /// clock exchange on its own wire, see MpiTransport) to opt in. The
+  /// The in-process transport exchanges post clocks through the group's
+  /// clock slots; a distributed transport must override this (and piggyback
+  /// the clock exchange on its own wire, see MpiTransport) to opt in. The
   /// Communicator rejects a clock when this is false.
   virtual bool supports_clock() const { return uses_group_protocol(); }
 
@@ -217,23 +206,23 @@ class Transport {
   /// Variable all-to-all for non-protocol backends: `send[m]` goes to member
   /// m, `recv[m]` is resized and filled with member m's bytes. Must set
   /// `op.bytes` to the maximum per-member total send volume (the straggler
-  /// defines the exchange). In-process backends exchange the nested vectors
-  /// through the slot protocol instead (communicator.hpp).
+  /// defines the exchange). The in-process backend exchanges the nested
+  /// vectors through the slot protocol instead (communicator.hpp).
   virtual void alltoallv(GroupShared& g, const CollArgs& a,
                          const std::vector<std::span<const unsigned char>>& send,
                          std::vector<std::vector<unsigned char>>& recv,
                          detail::CommOp& op);
 };
 
-/// Backend name ("sim", "local", "mpi") for logs and CLI flags. Thin wrapper
-/// over the util::EnumNames registry below.
+/// Backend name ("sim", "mpi") for logs and CLI flags. Thin wrapper over the
+/// util::EnumNames registry below.
 const char* backend_name(Backend b);
 
 /// Parse a backend name (case-insensitive). Returns false on unknown names.
 bool backend_from_string(std::string_view s, Backend& out);
 
-/// The backends this *build* can actually run: "sim | local", plus "mpi"
-/// when compiled with PLEXUS_WITH_MPI. Pass to util::enum_error<Backend> so
+/// The backends this *build* can actually run: "sim", plus "mpi" when
+/// compiled with PLEXUS_WITH_MPI. Pass to util::enum_error<Backend> so
 /// error messages never advertise an unavailable backend.
 std::string backend_choices();
 
@@ -314,20 +303,8 @@ inline void assign_chunk(const CollArgs& a, void* acc, const void* src) {
   if (nb > 0) std::memcpy(acc, src, nb);
 }
 
-/// Flat variable all-to-all movement shared by the in-process transports
-/// (CollArgs::send_counts != nullptr). Each member publishes its send_counts
-/// through `g.xfer_slots` (one extra barrier), then copies its chunk out of
-/// every source's packed send buffer — in canonical member order (Sim) or the
-/// rotated all-to-all order (Local); the destinations are disjoint, so both
-/// orders produce identical bytes. Zero-length chunks are skipped, never
-/// dereferenced, so empty send lists are safe.
-void flat_alltoallv_move(GroupShared& g, const CollArgs& a, bool rotated);
-
-/// Accessors used by the Local transport ring schedules; exposed for the
-/// conformance tests.
-Transport& sim_transport();
-Transport& local_transport();
 #ifdef PLEXUS_WITH_MPI
+/// The MPI backend singleton behind `transport_for` (transport_mpi.cpp).
 Transport& mpi_transport();
 #endif
 }  // namespace detail
@@ -341,7 +318,6 @@ struct plexus::util::EnumNames<plexus::comm::Backend> {
   static constexpr const char* kind = "backend";
   static constexpr EnumEntry<plexus::comm::Backend> table[] = {
       {plexus::comm::Backend::Sim, "sim"},
-      {plexus::comm::Backend::Local, "local"},
       {plexus::comm::Backend::Mpi, "mpi"},
   };
 };

@@ -34,10 +34,10 @@ struct GroupShared {
   double a2a_distance_penalty = 1.0;
   std::unique_ptr<std::barrier<>> barrier;
   std::vector<const void*> slots;
-  /// Secondary per-member pointer slots for transports that must reach a
-  /// peer's *destination* or staging buffer mid-op (the Local transport's
-  /// ring schedules). Written and read only between the op's protocol
-  /// barriers, bracketed by the transport's own extra barrier rounds.
+  /// Secondary per-member pointer slots for per-op metadata a transport
+  /// must publish beyond the payload pointer (the flat all-to-all-v's
+  /// send counts). Written and read only between the op's protocol
+  /// barriers, bracketed by the transport's own extra barrier round.
   std::vector<const void*> xfer_slots;
   std::vector<double> clock_slots;
   /// Comm-channel routing class. Line groups of the 3D grid are tagged with

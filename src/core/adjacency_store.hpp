@@ -48,9 +48,6 @@ class AdjacencyStore {
   AdjacencyStore(const DatasetView& view, const Grid3D& grid, int rank, int num_layers,
                  bool streaming = false);
 
-  /// Convenience for in-process callers holding a raw PlexusDataset.
-  AdjacencyStore(const PlexusDataset& dataset, const Grid3D& grid, int rank, int num_layers);
-
   const AdjacencyShard& layer(int l) const;
 
   bool streaming() const { return streaming_; }

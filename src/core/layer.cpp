@@ -1,7 +1,6 @@
 #include "core/layer.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <future>
@@ -55,11 +54,7 @@ void bounds_shape(const std::vector<std::int64_t>& bounds, std::int64_t* max_row
 }  // namespace
 
 std::optional<Aggregation> env_aggregation() {
-  const char* s = std::getenv("PLEXUS_AGG");
-  if (s == nullptr || *s == '\0') return std::nullopt;
-  Aggregation a = Aggregation::Dense;
-  if (!util::enum_from_string(s, a)) return std::nullopt;  // malformed: inherit
-  return a;
+  return util::env_enum<Aggregation>("PLEXUS_AGG");
 }
 
 DistGcnLayer::DistGcnLayer(std::int64_t padded_nodes, const Grid3D& grid, int rank,

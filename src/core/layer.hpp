@@ -51,10 +51,10 @@ enum class Aggregation {
 };
 
 /// PLEXUS_AGG as an *optional* override: the parsed value when the variable
-/// is set (and well-formed), std::nullopt otherwise. This is the
-/// TrainOptions::aggregation default — set means "override the model's
-/// aggregation", unset means "inherit model.options.aggregation" (see
-/// core::resolve_options).
+/// is set (and well-formed), std::nullopt otherwise (a malformed value is
+/// logged once, see util::env_enum). This is the TrainOptions::aggregation
+/// default — set means "override the model's aggregation", unset means
+/// "inherit model.options.aggregation" (see core::resolve_options).
 std::optional<Aggregation> env_aggregation();
 
 /// Tunables of the parallel algorithm (paper section 5). Both directions of a

@@ -84,15 +84,6 @@ DistGcn::DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& g
   f_adam_ = dense::Adam(f_slice_.size(), spec_.options.adam);
 }
 
-DistGcn::DistGcn(sim::RankContext& ctx, std::unique_ptr<DatasetView> view, const Grid3D& grid,
-                 GcnSpec spec)
-    : DistGcn(ctx, *view, grid, std::move(spec)) {
-  owned_view_ = std::move(view);
-}
-
-DistGcn::DistGcn(sim::RankContext& ctx, const PlexusDataset& ds, const Grid3D& grid, GcnSpec spec)
-    : DistGcn(ctx, std::make_unique<InMemoryDatasetView>(ds), grid, std::move(spec)) {}
-
 void DistGcn::gather_input_features(sim::RankContext& ctx) {
   // One all-gather per aggregation row block: member m's sub-slice of block k
   // lands exactly on rows [b0 + m*len/R0, b0 + (m+1)*len/R0) — the reshard

@@ -76,10 +76,6 @@ class DistGcn {
   /// view must outlive the model.
   DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& grid, GcnSpec spec);
 
-  /// Convenience for in-process callers holding a raw PlexusDataset (wraps it
-  /// in an owned InMemoryDatasetView).
-  DistGcn(sim::RankContext& ctx, const PlexusDataset& ds, const Grid3D& grid, GcnSpec spec);
-
   EpochStats train_epoch(sim::RankContext& ctx, int epoch);
 
   /// Forward-only accuracy on a mask (e.g. validation/test split).
@@ -109,11 +105,6 @@ class DistGcn {
   void restore_state(const io::ModelState& s);
 
  private:
-  /// Delegation target of the PlexusDataset ctor: builds against *view, then
-  /// takes ownership of it.
-  DistGcn(sim::RankContext& ctx, std::unique_ptr<DatasetView> view, const Grid3D& grid,
-          GcnSpec spec);
-
   /// Gather layer 0's input block into `input_` (see the .cpp).
   void gather_input_features(sim::RankContext& ctx);
   /// Forward through every layer; returns the last layer's output block,
@@ -121,7 +112,6 @@ class DistGcn {
   const dense::Matrix& forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
                                    KernelTimers& timers);
 
-  std::unique_ptr<DatasetView> owned_view_;  ///< set by the PlexusDataset ctor
   const DatasetView* view_;
   const Grid3D* grid_;
   int rank_ = 0;

@@ -208,10 +208,6 @@ TrainResult train_plexus(const DatasetView& view, const TrainOptions& opt) {
   return run_threaded(view, opt, ResumePlan{});
 }
 
-TrainResult train_plexus(const PlexusDataset& ds, const TrainOptions& opt) {
-  return train_plexus(InMemoryDatasetView(ds), opt);
-}
-
 TrainResult train_plexus_rank(const DatasetView& view, const TrainOptions& opt, int my_rank) {
   return run_rank(view, opt, ResumePlan{}, my_rank);
 }
@@ -256,7 +252,7 @@ TrainResult train_plexus(const graph::Graph& g, const TrainOptions& opt) {
   const PlexusDataset ds = preprocess_graph(g, opt.scheme, opt.model.num_layers(),
                                             /*pad_multiple=*/opt.grid.size(),
                                             opt.preprocess_seed);
-  return train_plexus(ds, opt);
+  return train_plexus(InMemoryDatasetView(ds), opt);
 }
 
 }  // namespace plexus::core

@@ -76,13 +76,11 @@ struct TrainOptions {
   /// storage); breakdown harnesses (fig9) turn it on.
   bool trace_timeline = false;
   /// Byte-transport backend for the collectives (comm/transport.hpp):
-  /// Backend::Sim (shared-slot simulator movement) or Backend::Local (real
-  /// in-process ring/staged movement between the rank threads). Losses,
-  /// clocks and stats are bitwise-identical across the two — only the
-  /// mechanics of the byte movement differ. Defaults to the process default
-  /// (the PLEXUS_BACKEND environment variable, else Sim). Backend::Mpi is a
-  /// one-process-per-rank backend and cannot run under the threaded cluster —
-  /// it is driven through train_plexus_rank instead.
+  /// Backend::Sim, the in-process shared-slot movement between the rank
+  /// threads. Defaults to the process default (the PLEXUS_BACKEND
+  /// environment variable, else Sim). Backend::Mpi is a one-process-per-rank
+  /// backend and cannot run under the threaded cluster — it is driven
+  /// through train_plexus_rank instead.
   comm::Backend backend = comm::default_backend();
   /// Wire format for fp32 collective payloads (comm/transport.hpp):
   /// WirePrecision::Fp32 ships the buffers verbatim — the bitwise-
@@ -154,13 +152,10 @@ EpochStats reduce_epoch_stats(comm::Communicator& comm, comm::GroupId wg, EpochS
 /// Train against any DatasetView on the threaded in-process cluster. The one
 /// view is shared by every rank thread, so it must be thread-safe for reads
 /// (InMemoryDatasetView is; ShardedDatasetView is per-rank and is not — use
-/// train_plexus_rank for sharded views).
+/// train_plexus_rank for sharded views). An already-preprocessed
+/// PlexusDataset (padded to a multiple of opt.grid volume) trains through
+/// `InMemoryDatasetView(ds)`, which lets sweeps share one preprocessing.
 TrainResult train_plexus(const DatasetView& view, const TrainOptions& opt);
-
-/// Train on an already-preprocessed dataset (shared across configurations to
-/// amortise preprocessing in sweeps). `ds` must have been padded to a multiple
-/// of opt.grid volume.
-TrainResult train_plexus(const PlexusDataset& ds, const TrainOptions& opt);
 
 /// Convenience: preprocess `g` (padding to the grid volume) and train.
 TrainResult train_plexus(const graph::Graph& g, const TrainOptions& opt);
@@ -178,7 +173,7 @@ TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOpti
 
 /// One-process-per-rank driver: runs rank `my_rank`'s share of the training
 /// over the distributed transport selected by opt.backend (Backend::Mpi —
-/// in-process backends belong in train_plexus). The caller launches one
+/// the in-process Sim backend belongs in train_plexus). The caller launches one
 /// process per rank (mpirun), initialises the runtime
 /// (comm::mpi_runtime_init), and passes each process its own view — typically
 /// a ShardedDatasetView so no process touches block files outside its shard.

@@ -10,20 +10,25 @@
 ///   struct plexus::util::EnumNames<comm::Backend> {
 ///     static constexpr const char* kind = "backend";
 ///     static constexpr EnumEntry<comm::Backend> table[] = {
-///         {comm::Backend::Sim, "sim"}, {comm::Backend::Local, "local"}, ...};
+///         {comm::Backend::Sim, "sim"}, {comm::Backend::Mpi, "mpi"}};
 ///   };
 ///
 /// and gets `enum_name` / `enum_from_string` (case-insensitive) /
-/// `enum_choices` / the uniform `enum_error` message for free. The table is
-/// the one source of truth: to_string(from_string(x)) == x holds for every
-/// listed name by construction (property-tested in test_util).
+/// `enum_choices` / the uniform `enum_error` message / the `env_enum`
+/// environment reader for free. The table is the one source of truth:
+/// to_string(from_string(x)) == x holds for every listed name by
+/// construction (property-tested in test_util).
 ///
 /// Availability filtering (e.g. "mpi" only in PLEXUS_WITH_MPI builds) is a
 /// runtime question the static table cannot answer; callers with such
-/// constraints pass their own choices string to `enum_error`.
+/// constraints pass their own choices string to `enum_error` / `env_enum`.
 
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
+
+#include "util/logging.hpp"
 
 namespace plexus::util {
 
@@ -94,6 +99,26 @@ std::string enum_error(std::string_view got, std::string_view choices = {}) {
   s += choices.empty() ? enum_choices<E>() : std::string(choices);
   s += ")";
   return s;
+}
+
+/// Read an enum from environment variable `var`: nullopt when it is unset or
+/// empty, the value when it names a table entry (case-insensitive). A value
+/// outside the table also yields nullopt — the caller's default — and logs
+/// one Warn per process and variable, e.g.
+/// "PLEXUS_BACKEND=local not recognized (sim | mpi); using the default".
+/// `choices` overrides the listing as in `enum_error`.
+template <typename E>
+std::optional<E> env_enum(const char* var, std::string_view choices = {}) {
+  const char* s = std::getenv(var);
+  if (s == nullptr || *s == '\0') return std::nullopt;
+  E v{};
+  if (enum_from_string(s, v)) return v;
+  if (first_occurrence(var)) {
+    PLEXUS_LOG(Warn) << var << "=" << s << " not recognized ("
+                     << (choices.empty() ? enum_choices<E>() : std::string(choices))
+                     << "); using the default";
+  }
+  return std::nullopt;
 }
 
 }  // namespace plexus::util

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <set>
 
 namespace plexus::util {
 
@@ -28,6 +29,12 @@ void log_message(LogLevel level, const std::string& msg) {
   if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
   std::lock_guard<std::mutex> lock(g_mutex);
   std::fprintf(stderr, "[plexus %s] %s\n", level_name(level), msg.c_str());
+}
+
+bool first_occurrence(const std::string& key) {
+  static std::set<std::string> seen;
+  std::lock_guard<std::mutex> lock(g_mutex);
+  return seen.insert(key).second;
 }
 
 }  // namespace plexus::util

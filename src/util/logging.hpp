@@ -18,6 +18,10 @@ LogLevel log_level();
 /// Emit one log line (used by the PLEXUS_LOG macro).
 void log_message(LogLevel level, const std::string& msg);
 
+/// True the first time `key` is passed in this process, false after: gates
+/// once-per-process warnings. Thread-safe.
+bool first_occurrence(const std::string& key);
+
 namespace detail {
 class LogLine {
  public:

@@ -199,14 +199,16 @@ TEST(AdjacencyStore, UniqueShardCounts) {
   pc::Grid3D grid(world, {2, 2, 2}, plexus::sim::Machine::test_machine());
 
   const auto ds_dbl = pc::preprocess_graph(g, pc::PermutationScheme::Double, 6, 8, 5);
+  const pc::InMemoryDatasetView dbl(ds_dbl);
   // Double permutation: (version, plane) pairs cycle with period 6.
-  EXPECT_EQ(pc::AdjacencyStore(ds_dbl, grid, 0, 1).unique_shards(), 1u);
-  EXPECT_EQ(pc::AdjacencyStore(ds_dbl, grid, 0, 3).unique_shards(), 3u);
-  EXPECT_EQ(pc::AdjacencyStore(ds_dbl, grid, 0, 6).unique_shards(), 6u);
+  EXPECT_EQ(pc::AdjacencyStore(dbl, grid, 0, 1).unique_shards(), 1u);
+  EXPECT_EQ(pc::AdjacencyStore(dbl, grid, 0, 3).unique_shards(), 3u);
+  EXPECT_EQ(pc::AdjacencyStore(dbl, grid, 0, 6).unique_shards(), 6u);
 
   const auto ds_single = pc::preprocess_graph(g, pc::PermutationScheme::Single, 6, 8, 5);
   // Single permutation: only the plane matters -> min(3, L).
-  EXPECT_EQ(pc::AdjacencyStore(ds_single, grid, 0, 6).unique_shards(), 3u);
+  EXPECT_EQ(pc::AdjacencyStore(pc::InMemoryDatasetView(ds_single), grid, 0, 6).unique_shards(),
+            3u);
 }
 
 TEST(AdjacencyStore, ShardsPartitionTheMatrix) {
@@ -215,6 +217,7 @@ TEST(AdjacencyStore, ShardsPartitionTheMatrix) {
   plexus::comm::World world(8);
   pc::Grid3D grid(world, {2, 2, 2}, plexus::sim::Machine::test_machine());
   const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::Double, 3, 8, 5);
+  const pc::InMemoryDatasetView view(ds);
   for (int layer = 0; layer < 3; ++layer) {
     std::int64_t total = 0;
     const auto roles = pc::roles_for_layer(layer);
@@ -222,7 +225,7 @@ TEST(AdjacencyStore, ShardsPartitionTheMatrix) {
       const auto c = grid.coords_of(r);
       // Count each (r_coord, p_coord) block once (skip Q replicas).
       if (pc::Grid3D::coord(c, roles.q) != 0) continue;
-      total += pc::AdjacencyStore(ds, grid, r, 3).layer(layer).a.nnz();
+      total += pc::AdjacencyStore(view, grid, r, 3).layer(layer).a.nnz();
     }
     EXPECT_EQ(total, ds.adjacency_for_layer(layer).nnz()) << "layer " << layer;
   }

@@ -122,6 +122,7 @@ TEST_P(EpochAllocations, SteadyStateEpochsAllocateNoActivationBuffer) {
   spec.options.aggregation = c.agg;
   const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::Double, spec.num_layers(),
                                        c.grid.size(), /*seed=*/7);
+  const pc::InMemoryDatasetView view(ds);
 
   plexus::comm::World world(c.grid.size());
   pc::Grid3D grid(world, c.grid, psim::Machine::test_machine());
@@ -133,7 +134,7 @@ TEST_P(EpochAllocations, SteadyStateEpochsAllocateNoActivationBuffer) {
       world, psim::Machine::test_machine(),
       [&](psim::RankContext& ctx) {
         ctx.comm.set_wire_precision(plexus::comm::WirePrecision::Fp32);
-        pc::DistGcn model(ctx, ds, grid, spec);
+        pc::DistGcn model(ctx, view, grid, spec);
         (void)model.train_epoch(ctx, 0);  // sizes every buffer
         sync.arrive_and_wait();
         if (ctx.rank() == 0) {

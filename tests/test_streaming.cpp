@@ -240,7 +240,7 @@ TEST(Streaming, TrainMatchesInMemoryBitwise) {
     auto opt = base_options();
     opt.model.train_input_features = train_features;
 
-    const auto resident = core::train_plexus(ds, opt);
+    const auto resident = core::train_plexus(core::InMemoryDatasetView(ds), opt);
 
     auto sopt = opt;
     sopt.rss_budget_bytes = 1 << 20;  // well below the on-disk adjacency bytes

@@ -196,6 +196,7 @@ TEST(Parse, RejectsGarbageUnlikeAtoi) {
 // every listed name, case-insensitively, across all three registered enums.
 
 #include <cctype>
+#include <cstdlib>
 
 #include "comm/transport.hpp"
 #include "core/layer.hpp"
@@ -240,8 +241,71 @@ TEST(EnumNames, RejectsUnknownAndFormatsError) {
   EXPECT_NE(msg.find("unknown backend 'bogus'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("sim"), std::string::npos) << msg;
   // Caller-supplied availability listing overrides the static table.
-  const auto custom = pu::enum_error<plexus::comm::Backend>("x", "sim | local");
-  EXPECT_NE(custom.find("(expected sim | local)"), std::string::npos) << custom;
+  const auto custom = pu::enum_error<plexus::comm::Backend>("x", "sim | mpi");
+  EXPECT_NE(custom.find("(expected sim | mpi)"), std::string::npos) << custom;
+}
+
+namespace {
+
+/// Set an environment variable for one scope, restoring the previous state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* prev = std::getenv(name);
+    had_ = prev != nullptr;
+    if (had_) prev_ = prev;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, prev_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string prev_;
+};
+
+/// Occurrences of `needle` in `hay`.
+std::size_t count_of(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = hay.find(needle); at != std::string::npos; at = hay.find(needle, at + 1)) ++n;
+  return n;
+}
+
+}  // namespace
+
+TEST(EnumNames, EnvEnumParsesCaseInsensitively) {
+  const ScopedEnv env("PLEXUS_TEST_ENV_ENUM", "SPARSE");
+  EXPECT_EQ(pu::env_enum<plexus::core::Aggregation>("PLEXUS_TEST_ENV_ENUM"),
+            plexus::core::Aggregation::Sparse);
+  const ScopedEnv empty("PLEXUS_TEST_ENV_ENUM_EMPTY", "");
+  EXPECT_FALSE(pu::env_enum<plexus::core::Aggregation>("PLEXUS_TEST_ENV_ENUM_EMPTY"));
+}
+
+TEST(EnumNames, UnrecognizedEnvValueFallsBackWithOneWarning) {
+  // A removed backend name is exactly such a value: it must fall back to the
+  // default and say so once per process, never silently.
+  plexus::comm::reset_default_backend();
+  const ScopedEnv backend("PLEXUS_BACKEND", "local");
+  const ScopedEnv agg("PLEXUS_AGG", "sprase");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(plexus::comm::default_backend(), plexus::comm::Backend::Sim);
+  EXPECT_EQ(plexus::comm::default_backend(), plexus::comm::Backend::Sim);  // no second warning
+  EXPECT_FALSE(plexus::core::env_aggregation().has_value());
+  EXPECT_FALSE(plexus::core::env_aggregation().has_value());
+  const std::string err = testing::internal::GetCapturedStderr();
+  const std::string backend_warning = "PLEXUS_BACKEND=local not recognized (" +
+                                      plexus::comm::backend_choices() + "); using the default";
+  EXPECT_EQ(count_of(err, backend_warning), 1u) << err;
+  EXPECT_EQ(count_of(err, "PLEXUS_AGG=sprase not recognized (dense | sparse | auto); "
+                          "using the default"),
+            1u)
+      << err;
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +324,7 @@ pu::ArgParser::Status parse_args(pu::ArgParser& args, std::vector<std::string> a
 }
 
 pu::ArgParser train_like_parser() {
-  pu::ArgParser args("prog", "test parser", "[dataset] [epochs]");
+  pu::ArgParser args("prog", "test parser");
   args.add_flag("dataset", "name", "dataset to use", "ogbn-products");
   args.add_flag("epochs", "n", "epochs to train", "10");
   args.add_flag("checkpoint", "dir", "checkpoint directory");
@@ -287,22 +351,24 @@ TEST(ArgParser, BareFlagStoresOne) {
   EXPECT_EQ(args.value("checkpoint"), "1");
 }
 
-TEST(ArgParser, PositionalsCollectInOrder) {
+TEST(ArgParser, BareArgumentErrorsAndNamesIt) {
   auto args = train_like_parser();
-  ASSERT_EQ(parse_args(args, {"test-graph", "--epochs=3", "7"}), pu::ArgParser::Status::Ok);
-  ASSERT_EQ(args.positionals().size(), 2u);
-  EXPECT_EQ(args.positionals()[0], "test-graph");
-  EXPECT_EQ(args.positionals()[1], "7");
+  ASSERT_EQ(parse_args(args, {"--epochs=3", "test-graph"}), pu::ArgParser::Status::Error);
+  EXPECT_NE(args.error().find("unexpected argument 'test-graph'"), std::string::npos)
+      << args.error();
+  EXPECT_NE(args.error().find("--key=value"), std::string::npos) << args.error();
+  // A single dash is not a flag either.
+  EXPECT_EQ(parse_args(args, {"-e"}), pu::ArgParser::Status::Error);
+  EXPECT_NE(args.error().find("'-e'"), std::string::npos) << args.error();
 }
 
 TEST(ArgParser, HelpShortCircuits) {
   auto args = train_like_parser();
   EXPECT_EQ(parse_args(args, {"--help"}), pu::ArgParser::Status::Help);
-  // Usage mentions every flag, its hint, and the deprecated positional form.
+  // Usage mentions every flag and its hint.
   const auto usage = args.usage();
   EXPECT_NE(usage.find("--dataset=name"), std::string::npos) << usage;
   EXPECT_NE(usage.find("--epochs=n"), std::string::npos) << usage;
-  EXPECT_NE(usage.find("[dataset] [epochs]"), std::string::npos) << usage;
 }
 
 TEST(ArgParser, UnknownFlagSuggestsNearestName) {
