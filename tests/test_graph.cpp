@@ -1,12 +1,22 @@
 // Tests for graph generators, dataset registry, proxies, labels and masks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iomanip>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/preprocess.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/rmat_shards.hpp"
 #include "sparse/partition2d.hpp"
 
 namespace pg = plexus::graph;
@@ -166,4 +176,223 @@ TEST(Graph, AdjacencyIsSymmetricPattern) {
   const auto a = g.adjacency();
   const auto at = a.transposed();
   EXPECT_TRUE(ps::Csr::equal(a, at));
+}
+
+// ---- Setup golden hashes ------------------------------------------------
+//
+// 64-bit FNV-1a hashes of everything setup produces: make_proxy's edge list
+// and features, preprocess_graph's permuted CSRs (values by bit pattern),
+// and the bytes of one rmat_to_shards directory. They pin the exact output
+// of the generator, the CSR builds and the shard writer, so a change that
+// moves both the in-memory and the streamed path together (which the
+// streamed-vs-in-memory byte equality in test_rmat_shards cannot see) fails
+// here. Every case runs under PLEXUS_THREADS 1, 2 and 4: setup output must
+// not depend on the thread budget.
+
+namespace {
+
+class Fnv1a {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void span(const T* p, std::size_t n) {
+    bytes(n == 0 ? nullptr : p, n * sizeof(T));
+  }
+  template <typename T>
+  void vec(const std::vector<T>& v) {
+    span(v.data(), v.size());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
+  return os.str();
+}
+
+#define EXPECT_HASH(got, want) EXPECT_EQ(hex(got), hex(want)) << #got
+
+std::uint64_t hash_coo(const ps::Coo& coo) {
+  Fnv1a h;
+  h.bytes(&coo.num_rows, sizeof(coo.num_rows));
+  h.bytes(&coo.num_cols, sizeof(coo.num_cols));
+  h.vec(coo.rows);
+  h.vec(coo.cols);
+  h.vec(coo.vals);
+  return h.value();
+}
+
+std::uint64_t hash_csr(const ps::Csr& a) {
+  Fnv1a h;
+  const std::int64_t dims[2] = {a.rows(), a.cols()};
+  h.span(dims, 2);
+  h.span(a.row_ptr().data(), a.row_ptr().size());
+  h.span(a.col_idx().data(), a.col_idx().size());
+  h.span(a.vals().data(), a.vals().size());
+  return h.value();
+}
+
+std::uint64_t hash_matrix(const plexus::dense::Matrix& m) {
+  Fnv1a h;
+  const std::int64_t dims[2] = {m.rows(), m.cols()};
+  h.span(dims, 2);
+  for (std::int64_t r = 0; r < m.rows(); ++r) h.span(m.row(r), static_cast<std::size_t>(m.cols()));
+  return h.value();
+}
+
+/// Features, labels and masks of a preprocessed dataset.
+std::uint64_t hash_node_arrays(const plexus::core::PlexusDataset& ds) {
+  Fnv1a h;
+  const std::uint64_t f = hash_matrix(ds.features);
+  h.bytes(&f, sizeof(f));
+  h.vec(ds.labels);
+  h.vec(ds.train_mask);
+  h.vec(ds.val_mask);
+  h.vec(ds.test_mask);
+  return h.value();
+}
+
+/// File names, sizes and bytes of every regular file in `dir`, in name order.
+std::uint64_t hash_dir(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.is_regular_file()) names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  Fnv1a h;
+  for (const auto& name : names) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    h.span(name.data(), name.size());
+    const auto size = static_cast<std::uint64_t>(bytes.size());
+    h.bytes(&size, sizeof(size));
+    h.vec(bytes);
+  }
+  return h.value();
+}
+
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    const char* prev = std::getenv("PLEXUS_THREADS");
+    had_ = prev != nullptr;
+    if (had_) prev_ = prev;
+    ::setenv("PLEXUS_THREADS", value, 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (had_) {
+      ::setenv("PLEXUS_THREADS", prev_.c_str(), 1);
+    } else {
+      ::unsetenv("PLEXUS_THREADS");
+    }
+  }
+
+ private:
+  bool had_ = false;
+  std::string prev_;
+};
+
+constexpr const char* kThreadBudgets[] = {"1", "2", "4"};
+
+struct ProxyGolden {
+  std::int64_t nodes;
+  std::uint64_t seed;
+  std::uint64_t edges;
+  std::uint64_t features;
+  // preprocess_graph(num_layers 3, pad_multiple 8, seed 7), Double then Single.
+  std::uint64_t double_even;
+  std::uint64_t double_odd;
+  std::uint64_t double_nodes;
+  std::uint64_t single_even;
+  std::uint64_t single_odd;
+  std::uint64_t single_nodes;
+};
+
+constexpr ProxyGolden kProxyGolden[] = {
+    {4096, 1,
+     0x9056b1afc7fab911, 0x73279b70d77a1ab7, 0xa28ffde7136573b2,
+     0xc7923887bdd710d8, 0x6173b7241966717b, 0x341b2bf336dbfa22,
+     0x341b2bf336dbfa22, 0xd1032a643a8e0075},
+    {4096, 7,
+     0x964182fcb7389efd, 0x23fb2b40b0598826, 0x5e993f75cbba553f,
+     0xbde86082cbee7460, 0x55f9dbfa20fb2ecc, 0xdbe66eaea2e0b687,
+     0xdbe66eaea2e0b687, 0x3c11032b110ce7c2},
+    {16384, 1,
+     0xab16ff8161dc9f8d, 0x1a0fbdd6b72c7916, 0xfa69e512bbf28145,
+     0xbeaebc133b80bf81, 0xba95db1f38889bf5, 0x53b91f51c44112a4,
+     0x53b91f51c44112a4, 0x096d403457e58721},
+    {16384, 7,
+     0x2803a3409c7999e1, 0x373cc9251bc796d8, 0x31f08efa127d7c60,
+     0xdcd8b28b19ded4c2, 0x9b10a5279706404b, 0x33a30ea55a96cde6,
+     0x33a30ea55a96cde6, 0x58390848daf96559},
+};
+
+}  // namespace
+
+TEST(SetupGolden, ProxyAndPreprocessHashesAreFixedForAnyThreadCount) {
+  namespace pc = plexus::core;
+  const auto& info = pg::dataset_info("ogbn-products");
+  for (const char* threads : kThreadBudgets) {
+    const ScopedThreadsEnv env(threads);
+    for (const auto& gold : kProxyGolden) {
+      SCOPED_TRACE(std::string("PLEXUS_THREADS=") + threads + " nodes=" +
+                   std::to_string(gold.nodes) + " seed=" + std::to_string(gold.seed));
+      const auto g = pg::make_proxy(info, gold.nodes, gold.seed);
+      EXPECT_HASH(hash_coo(g.edges), gold.edges);
+      EXPECT_HASH(hash_matrix(g.features), gold.features);
+      const auto dd = pc::preprocess_graph(g, pc::PermutationScheme::Double, 3, 8, 7);
+      EXPECT_HASH(hash_csr(dd.adj_even), gold.double_even);
+      EXPECT_HASH(hash_csr(dd.adj_odd), gold.double_odd);
+      EXPECT_HASH(hash_node_arrays(dd), gold.double_nodes);
+      const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::Single, 3, 8, 7);
+      EXPECT_HASH(hash_csr(ds.adj_even), gold.single_even);
+      EXPECT_HASH(hash_csr(ds.adj_odd), gold.single_odd);
+      EXPECT_HASH(hash_node_arrays(ds), gold.single_nodes);
+    }
+  }
+}
+
+// Scale 5 holds 496 distinct undirected pairs, fewer than the 600 asked for:
+// the generator exhausts its 8x attempt cap and returns the shortfall.
+TEST(SetupGolden, RmatShortfallAtAttemptCapIsFixed) {
+  for (const char* threads : kThreadBudgets) {
+    const ScopedThreadsEnv env(threads);
+    SCOPED_TRACE(std::string("PLEXUS_THREADS=") + threads);
+    const auto coo = pg::rmat(5, 600, 0.57, 0.19, 0.19, 0.05, 3);
+    EXPECT_LT(coo.nnz(), 2 * 600);
+    EXPECT_HASH(hash_coo(coo), 0xa9258b2988141095ULL);
+  }
+}
+
+TEST(SetupGolden, RmatToShardsDirectoryBytesAreFixed) {
+  const auto& info = pg::dataset_info("ogbn-products");
+  auto spec = pg::proxy_shards_spec(info, 4096, 5);
+  spec.scheme = 2;
+  spec.num_layers = 3;
+  spec.pad_multiple = 4;
+  spec.preprocess_seed = 7;
+  spec.parts = 2;
+  spec.chunk_edges = 4097;  // many spilled runs, split mid-row
+  const auto dir =
+      (std::filesystem::temp_directory_path() / "plexus_setup_golden_shards").string();
+  for (const char* threads : kThreadBudgets) {
+    const ScopedThreadsEnv env(threads);
+    SCOPED_TRACE(std::string("PLEXUS_THREADS=") + threads);
+    std::filesystem::remove_all(dir);
+    const auto r = pg::rmat_to_shards(dir, spec);
+    EXPECT_EQ(r.num_edges, spec.target_edges);
+    EXPECT_HASH(hash_dir(dir), 0x33cd346843a14a2cULL);
+  }
+  std::filesystem::remove_all(dir);
 }

@@ -89,7 +89,7 @@ std::string fresh_dir(const std::string& tag) {
   return dir;
 }
 
-void run_case(const std::string& tag, const graph::RmatShardsSpec& spec) {
+graph::RmatShardsResult run_case(const std::string& tag, const graph::RmatShardsSpec& spec) {
   SCOPED_TRACE(tag);
   const auto ref_dir = fresh_dir(tag + "_ref");
   const auto got_dir = fresh_dir(tag + "_got");
@@ -103,6 +103,7 @@ void run_case(const std::string& tag, const graph::RmatShardsSpec& spec) {
   expect_dirs_identical(got_dir, ref_dir);
   fs::remove_all(ref_dir);
   fs::remove_all(got_dir);
+  return result;
 }
 
 }  // namespace
@@ -204,4 +205,24 @@ TEST(RmatShards, MatchesInMemoryScale18) {
   spec.parts = 4;
   spec.chunk_edges = 1 << 18;
   run_case("s18_double", spec);
+}
+
+// Scale 5 has only 496 distinct undirected pairs, fewer than the 600 asked
+// for: both paths exhaust the 8x attempt cap and must agree on the shortfall.
+TEST(RmatShards, ShortfallAtAttemptCapMatchesInMemory) {
+  graph::RmatShardsSpec spec;
+  spec.scale = 5;
+  spec.target_edges = 600;
+  spec.seed = 3;
+  spec.feature_dim = 4;
+  spec.num_classes = 3;
+  spec.scheme = 2;
+  spec.num_layers = 2;
+  spec.pad_multiple = 2;
+  spec.preprocess_seed = 7;
+  spec.parts = 2;
+  spec.chunk_edges = 97;
+  const auto result = run_case("shortfall", spec);
+  EXPECT_LT(result.num_edges, spec.target_edges);
+  EXPECT_LE(result.num_edges, 32 * 31 / 2);
 }
