@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace plexus::comm {
@@ -79,12 +79,9 @@ namespace {
 std::atomic<int> g_comm_threads{-1};
 
 int env_comm_threads() {
-  const char* s = std::getenv("PLEXUS_COMM_THREADS");
-  if (s == nullptr || *s == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 0) return 1;  // malformed: default
-  return static_cast<int>(std::min(v, 8L));  // clamp like set_comm_thread_budget
+  // Valid values above 8 clamp like set_comm_thread_budget.
+  const auto v = util::env_int("PLEXUS_COMM_THREADS", 0, 4096);
+  return v ? std::min(*v, 8) : 1;
 }
 
 }  // namespace

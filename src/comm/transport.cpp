@@ -1,6 +1,7 @@
 #include "comm/transport.hpp"
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -177,8 +178,18 @@ namespace {
 /// -1 = follow PLEXUS_BACKEND, else the Backend value of the override.
 std::atomic<int> g_backend_override{-1};
 
+/// PLEXUS_BACKEND, or Sim. A name this build cannot run (mpi without
+/// PLEXUS_WITH_MPI) is unrecognized like any other name outside
+/// backend_choices(): it warns once and falls back instead of failing later
+/// on a rank thread.
 Backend env_backend() {
-  return util::env_enum<Backend>("PLEXUS_BACKEND", backend_choices()).value_or(Backend::Sim);
+  const char* var = "PLEXUS_BACKEND";
+  const auto b = util::env_enum<Backend>(var, backend_choices());
+  if (b == Backend::Mpi && !mpi_transport_available()) {
+    util::warn_env_ignored(var, std::getenv(var), backend_choices());
+    return Backend::Sim;
+  }
+  return b.value_or(Backend::Sim);
 }
 
 }  // namespace

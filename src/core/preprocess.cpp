@@ -5,6 +5,7 @@
 #include "sparse/partition2d.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace plexus::core {
 
@@ -33,6 +34,7 @@ PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, 
                                std::int64_t pad_multiple, std::uint64_t seed) {
   PLEXUS_CHECK(num_layers >= 1, "need at least one layer");
   PLEXUS_CHECK(pad_multiple >= 1, "pad_multiple must be positive");
+  const util::ScopedProcessThreads setup_threads;
 
   PlexusDataset out;
   out.scheme = scheme;
@@ -44,11 +46,9 @@ PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, 
   out.train_total = g.train_count();
 
   // Normalised adjacency at padded size (padded tail has no entries).
-  sparse::Coo padded_edges = g.edges;
-  padded_edges.num_rows = out.padded_nodes;
-  padded_edges.num_cols = out.padded_nodes;
-  const sparse::Csr normalized =
-      sparse::normalize_adjacency(sparse::Csr::from_coo(padded_edges, false), g.num_nodes);
+  const sparse::Csr normalized = sparse::normalize_adjacency(
+      sparse::Csr::from_coo(g.edges, false).padded_to(out.padded_nodes, out.padded_nodes),
+      g.num_nodes);
 
   // Permutations over the padded index space: padding rows scatter uniformly,
   // which keeps per-shard *active* row counts balanced too.
@@ -79,10 +79,16 @@ PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, 
   // Features live in the input (column) permutation: layer 0 computes
   // (P_r A P_c^T)(P_c F) per eq. 5.3.
   out.features = dense::Matrix(out.padded_nodes, out.padded_feature_dim);
-  for (std::int64_t u = 0; u < g.num_nodes; ++u) {
-    const auto dst = p_c[static_cast<std::size_t>(u)];
-    std::copy(g.features.row(u), g.features.row(u) + g.feature_dim(), out.features.row(dst));
-  }
+  util::parallel_for(
+      0, g.num_nodes,
+      [&](std::int64_t u0, std::int64_t u1) {
+        for (std::int64_t u = u0; u < u1; ++u) {
+          const auto dst = p_c[static_cast<std::size_t>(u)];
+          std::copy(g.features.row(u), g.features.row(u) + g.feature_dim(),
+                    out.features.row(dst));
+        }
+      },
+      g.num_nodes * g.feature_dim());
 
   // The final layer's output rows are ordered by P_r when (L-1) is even,
   // else by P_c; labels and masks must match that ordering.

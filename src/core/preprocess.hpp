@@ -69,7 +69,9 @@ struct PlexusDataset {
 };
 
 /// Preprocess `g` for an L-layer GCN on grids whose volume divides
-/// `pad_multiple`. `seed` fixes the permutations.
+/// `pad_multiple`. `seed` fixes the permutations. Runs on the whole process
+/// thread budget (util::ScopedProcessThreads); the output is
+/// bitwise-identical for any budget.
 PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, int num_layers,
                                std::int64_t pad_multiple, std::uint64_t seed);
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/dataset_view.hpp"
+#include "util/thread_pool.hpp"
 
 namespace plexus::core {
 
@@ -39,6 +40,10 @@ std::future<BlockLoad> ShardStream::post(int version, std::int64_t r0, std::int6
 }
 
 void ShardStream::worker() {
+  // Block loads build their CSR windows serially: the rank threads' kernels
+  // already hold the cores, and a pool per IO thread would oversubscribe
+  // them whatever PLEXUS_THREADS says.
+  util::set_intra_rank_threads(1);
   for (;;) {
     Job job;
     {

@@ -5,6 +5,7 @@
 #include "graph/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace plexus::graph {
 
@@ -54,6 +55,7 @@ Graph finalize_graph(std::string name, sparse::Coo edges, std::int64_t feature_d
 
 Graph make_proxy(const DatasetInfo& info, std::int64_t target_nodes, std::uint64_t seed) {
   PLEXUS_CHECK(target_nodes >= 64, "proxy too small");
+  const util::ScopedProcessThreads setup_threads;
   const double avg_deg = info.avg_degree();
   sparse::Coo edges;
   switch (info.kind) {

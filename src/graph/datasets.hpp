@@ -53,7 +53,9 @@ const DatasetInfo& dataset_info(const std::string& name);
 /// Build a synthetic proxy graph for `info` with about `target_nodes` nodes
 /// (generator granularity may round this), matching average degree, feature
 /// dim, class count, and ordering locality. Labels follow the paper's recipe
-/// for datasets without provided labels (degree-distribution based).
+/// for datasets without provided labels (degree-distribution based). Runs on
+/// the whole process thread budget (util::ScopedProcessThreads); the output
+/// is bitwise-identical for any budget.
 Graph make_proxy(const DatasetInfo& info, std::int64_t target_nodes, std::uint64_t seed);
 
 /// Small deterministic random graph for unit tests (features carry a label

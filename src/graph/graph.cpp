@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace plexus::graph {
 
@@ -45,17 +45,22 @@ void Graph::validate() const {
 dense::Matrix synthetic_features(std::int64_t num_nodes, std::int64_t dim,
                                  const std::vector<std::int32_t>& labels, float label_signal,
                                  std::uint64_t seed) {
-  util::CounterRng rng(util::hash_combine(seed, 0xfea7));
+  const util::CounterRng rng(util::hash_combine(seed, 0xfea7));
   dense::Matrix f(num_nodes, dim);
-  for (std::int64_t i = 0; i < num_nodes; ++i) {
-    float* row = f.row(i);
-    for (std::int64_t k = 0; k < dim; ++k) {
-      row[k] = rng.uniform_at(static_cast<std::uint64_t>(i * dim + k), -1.0f, 1.0f);
-    }
-    if (label_signal != 0.0f && !labels.empty()) {
-      row[labels[static_cast<std::size_t>(i)] % dim] += label_signal;
-    }
-  }
+  util::parallel_for(
+      0, num_nodes,
+      [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          float* row = f.row(i);
+          for (std::int64_t k = 0; k < dim; ++k) {
+            row[k] = rng.uniform_at(static_cast<std::uint64_t>(i * dim + k), -1.0f, 1.0f);
+          }
+          if (label_signal != 0.0f && !labels.empty()) {
+            row[labels[static_cast<std::size_t>(i)] % dim] += label_signal;
+          }
+        }
+      },
+      num_nodes * dim);
   return f;
 }
 

@@ -1,17 +1,20 @@
 #include "graph/rmat_shards.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <utility>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "loader/file_io.hpp"
 #include "loader/shard_io.hpp"
 #include "sparse/partition2d.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace plexus::graph {
 
@@ -23,34 +26,14 @@ std::int64_t round_up(std::int64_t v, std::int64_t multiple) {
   return (v + multiple - 1) / multiple * multiple;
 }
 
-/// Dedup key, identical to generators.cpp: min endpoint first.
-std::uint64_t edge_key(std::int64_t u, std::int64_t v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
-}
-
-/// One candidate edge: its dedup key and the attempt index that produced it.
-/// Keeping the index is what makes external dedup order-exact: the accepted
-/// set is the first `target_edges` distinct keys in attempt order, the same
-/// set the in-memory hash-set loop accepts.
-struct DedupRec {
-  std::uint64_t key = 0;
-  std::uint64_t idx = 0;
-};
-
-struct DedupByKey {
-  bool operator()(const DedupRec& x, const DedupRec& y) const {
-    return x.key != y.key ? x.key < y.key : x.idx < y.idx;
-  }
-};
-
-struct DedupByIdx {
-  bool operator()(const DedupRec& x, const DedupRec& y) const { return x.idx < y.idx; }
-};
+using detail::RmatDraw;
+using detail::RmatDrawByAttempt;
+using detail::RmatDrawByPair;
 
 /// One entry of the normalised, permuted adjacency, in padded coordinates.
+/// `major` = column block << 32 | row, so the sort compares two integers.
 struct EdgeRec {
-  std::int32_t row = 0;
+  std::uint64_t major = 0;
   std::int32_t col = 0;
   float val = 0.0f;
 };
@@ -58,23 +41,22 @@ struct EdgeRec {
 /// Orders records (column block, row, column): the concatenation of the
 /// parts x parts block files in column-block-major order, each block holding
 /// its rows in order with columns ascending — exactly the canonical CSR
-/// block layout io::write_adjacency_blocks produces.
+/// block layout io::write_adjacency_blocks produces. Strict: every (row,
+/// column) occurs once.
 struct EdgeRecLess {
-  std::int64_t col_width = 1;
   bool operator()(const EdgeRec& x, const EdgeRec& y) const {
-    const std::int64_t xb = x.col / col_width;
-    const std::int64_t yb = y.col / col_width;
-    if (xb != yb) return xb < yb;
-    if (x.row != y.row) return x.row < y.row;
-    return x.col < y.col;
+    return x.major != y.major ? x.major < y.major : x.col < y.col;
   }
 };
 
 /// Spill-to-disk sorter: buffer up to `max_buffered` records, sort + spill
 /// sorted runs, k-way merge on the final sweep. Runs entirely in memory when
-/// everything fits in one buffer. Every spilled run stays open during merge,
-/// so callers should keep total records / max_buffered comfortably below the
-/// process fd limit.
+/// everything fits in one buffer. Sorting runs on the calling thread's
+/// engine (util::parallel_sort), so `Less` must order the records strictly:
+/// no two may compare equivalent. The sort's merge scratch lives as long as
+/// the buffer, so repeated spills reuse one allocation. Every run stays open
+/// during the merge, so callers should keep total records / max_buffered
+/// comfortably below the process fd limit.
 template <typename Rec, typename Less>
 class ExternalSorter {
  public:
@@ -83,11 +65,12 @@ class ExternalSorter {
         max_buffered_(std::max<std::size_t>(max_buffered, 2)),
         less_(less) {
     buf_.reserve(max_buffered_);
+    scratch_.reserve(max_buffered_);
   }
   ~ExternalSorter() {
-    for (std::size_t i = 0; i < num_runs_; ++i) {
+    for (const auto& path : runs_) {
       std::error_code ec;
-      fs::remove(run_path(i), ec);
+      fs::remove(path, ec);
     }
   }
 
@@ -96,24 +79,37 @@ class ExternalSorter {
     if (buf_.size() >= max_buffered_) spill();
   }
 
+  /// Lets `fill(buffer)` append at most `max_records` (<= max_buffered)
+  /// records straight into the buffer, spilling it first unless they fit.
+  template <typename Fill>
+  void append(std::size_t max_records, Fill&& fill) {
+    if (buf_.size() + max_records > max_buffered_) spill();
+    fill(buf_);
+  }
+
+  /// Takes over an already sorted run file: merged like a spilled run and
+  /// removed with them.
+  void adopt_run(std::string path) { runs_.push_back(std::move(path)); }
+
+  /// The buffer plus the merge scratch of util::parallel_sort.
   std::int64_t peak_bytes() const {
-    return static_cast<std::int64_t>(max_buffered_ * sizeof(Rec));
+    return static_cast<std::int64_t>(2 * max_buffered_ * sizeof(Rec));
   }
 
   /// Single sorted sweep over everything pushed; fn returning false stops
   /// early. The sorter is consumed.
   template <typename Fn>
   void merge(Fn&& fn) {
-    std::sort(buf_.begin(), buf_.end(), less_);
-    if (num_runs_ == 0) {
+    if (runs_.empty()) {
+      util::parallel_sort(buf_, less_, scratch_);
       for (const auto& r : buf_) {
         if (!fn(r)) break;
       }
-      buf_.clear();
-      buf_.shrink_to_fit();
+      release_buffers();
       return;
     }
     spill();
+    release_buffers();
     struct Run {
       io::File file;
       std::vector<Rec> buf;
@@ -121,10 +117,9 @@ class ExternalSorter {
       std::size_t len = 0;
     };
     std::vector<Run> runs;
-    runs.reserve(num_runs_);
-    for (std::size_t i = 0; i < num_runs_; ++i) {
-      runs.push_back(Run{io::open_file(run_path(i), "rb"),
-                         std::vector<Rec>(std::size_t{1} << 13), 0, 0});
+    runs.reserve(runs_.size());
+    for (const auto& path : runs_) {
+      runs.push_back(Run{io::open_file(path, "rb"), std::vector<Rec>(std::size_t{1} << 13), 0, 0});
     }
     auto refill = [](Run& run) {
       run.len = io::checked_fread(run.buf.data(), sizeof(Rec), run.buf.size(), run.file.get());
@@ -136,7 +131,7 @@ class ExternalSorter {
       std::size_t run;
     };
     // std::push_heap builds a max-heap, so "after" = strictly greater under
-    // less_, ties broken toward the earlier run (= push order).
+    // less_, ties broken toward the earlier run.
     auto heap_after = [this](const Head& x, const Head& y) {
       if (less_(y.rec, x.rec)) return true;
       if (less_(x.rec, y.rec)) return false;
@@ -161,16 +156,18 @@ class ExternalSorter {
   }
 
  private:
-  std::string run_path(std::size_t i) const {
-    return prefix_ + "_" + std::to_string(i) + ".run";
+  void release_buffers() {
+    std::vector<Rec>().swap(buf_);
+    std::vector<Rec>().swap(scratch_);
   }
+
   void spill() {
     if (buf_.empty()) return;
-    std::sort(buf_.begin(), buf_.end(), less_);
-    auto f = io::open_file(run_path(num_runs_), "wb");
+    util::parallel_sort(buf_, less_, scratch_);
+    runs_.push_back(prefix_ + "_" + std::to_string(runs_.size()) + ".run");
+    auto f = io::open_file(runs_.back(), "wb");
     io::write_array(f.get(), buf_.data(), buf_.size());
     f.close();
-    ++num_runs_;
     buf_.clear();
   }
 
@@ -178,7 +175,45 @@ class ExternalSorter {
   std::size_t max_buffered_;
   Less less_;
   std::vector<Rec> buf_;
-  std::size_t num_runs_ = 0;
+  std::vector<Rec> scratch_;
+  std::vector<std::string> runs_;
+};
+
+/// Reads a file of `Rec`s in blocks, calling fn(rec) for each in order.
+template <typename Rec, typename Fn>
+void for_each_record(const std::string& path, Fn&& fn) {
+  auto in = io::open_file(path, "rb");
+  std::vector<Rec> buf(std::size_t{1} << 13);
+  for (;;) {
+    const std::size_t got = io::checked_fread(buf.data(), sizeof(Rec), buf.size(), in.get());
+    if (got == 0) break;
+    for (std::size_t i = 0; i < got; ++i) fn(buf[i]);
+  }
+}
+
+/// Appends `Rec`s to a new file through a block buffer.
+template <typename Rec>
+class RecordWriter {
+ public:
+  explicit RecordWriter(const std::string& path) : file_(io::open_file(path, "wb")) {
+    buf_.reserve(std::size_t{1} << 13);
+  }
+  void push(const Rec& r) {
+    buf_.push_back(r);
+    if (buf_.size() == buf_.capacity()) flush();
+  }
+  void close() {
+    flush();
+    file_.close();
+  }
+
+ private:
+  void flush() {
+    io::write_array(file_.get(), buf_.data(), buf_.size());
+    buf_.clear();
+  }
+  io::File file_;
+  std::vector<Rec> buf_;
 };
 
 /// Stream-write one adjacency version as a parts x parts grid of block
@@ -235,10 +270,12 @@ std::int64_t write_blocks_streamed(const std::string& dir, const std::string& pr
   };
 
   sorter.merge([&](const EdgeRec& e) {
-    const std::int64_t blk = (e.col / cw) * parts + e.row / rw;
-    while (cur < blk) flush_current();
-    counts[static_cast<std::size_t>(e.row % rw)]++;
-    col_idx.push_back(static_cast<std::int32_t>(e.col % cw));
+    const auto cblk = static_cast<std::int64_t>(e.major >> 32);
+    const auto row = static_cast<std::int64_t>(e.major & 0xffffffffULL);
+    const std::int64_t rblk = row / rw;
+    while (cur < cblk * parts + rblk) flush_current();
+    counts[static_cast<std::size_t>(row - rblk * rw)]++;
+    col_idx.push_back(static_cast<std::int32_t>(e.col - cblk * cw));
     vals.push_back(e.val);
     return true;
   });
@@ -279,6 +316,7 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
   PLEXUS_CHECK(spec.num_layers >= 1, "need at least one layer");
   PLEXUS_CHECK(spec.scheme >= 0 && spec.scheme <= 2, "rmat_to_shards: bad scheme");
   PLEXUS_CHECK(spec.feature_dim >= 1 && spec.num_classes >= 1, "rmat_to_shards: bad dims");
+  const util::ScopedProcessThreads setup_threads;
 
   const std::int64_t n = std::int64_t{1} << spec.scale;
   const std::int64_t padded = round_up(n, std::max<std::int64_t>(1, spec.pad_multiple));
@@ -298,80 +336,75 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
   result.num_nodes = n;
   result.padded_nodes = padded;
 
-  // ---- Phase A: replay the full rmat attempt stream (same RNG, same cap)
-  // and externally sort the candidates by (key, attempt index). The
-  // in-memory generator accepts the first target_edges distinct keys in
-  // attempt order; sorting by key and keeping the smallest index per key,
-  // then re-ordering those survivors by index and cutting at target_edges,
-  // reproduces that set exactly — including the shortfall case where fewer
-  // than target_edges distinct keys exist within max_attempts.
-  const std::string edges_path = spill + "/edges.bin";
-  std::vector<std::int64_t> deg(static_cast<std::size_t>(n), 0);
-  {
-    ExternalSorter<DedupRec, DedupByKey> by_key(spill + "/bykey", chunk_records, DedupByKey{});
-    util::SplitMix64 rng(util::hash_combine(spec.seed, 0x27a7));
-    const std::int64_t max_attempts = spec.target_edges * 8;
-    for (std::int64_t attempt = 0; attempt < max_attempts; ++attempt) {
-      std::int64_t u = 0;
-      std::int64_t v = 0;
-      for (int level = 0; level < spec.scale; ++level) {
-        const double r = rng.next_double();
-        const double aa = spec.a + 0.05 * (rng.next_double() - 0.5);
-        const double bb = spec.b;
-        const double cc = spec.c;
-        u <<= 1;
-        v <<= 1;
-        if (r < aa) {
-          // top-left quadrant: no bits set
-        } else if (r < aa + bb) {
-          v |= 1;
-        } else if (r < aa + bb + cc) {
-          u |= 1;
-        } else {
-          u |= 1;
-          v |= 1;
-        }
-      }
-      if (u == v) continue;  // RNG already consumed, exactly like graph::rmat
-      by_key.push(DedupRec{edge_key(u, v), static_cast<std::uint64_t>(attempt)});
+  // ---- Phase A: the graph::rmat attempt stream, window by window
+  // (detail::rmat_window_end), each cut into sub-windows of at most
+  // chunk_records attempts that are generated on the pool straight into the
+  // sorter's buffer. The sort by (pair, attempt) also takes the sorted run of
+  // first draws left by the earlier windows; keeping the first draw of every
+  // pair compacts both into the next such run and counts the distinct pairs.
+  // Generation stops once that count reaches target_edges or at the attempt
+  // cap: the first target_edges distinct pairs in attempt order then all lie
+  // in the windows seen, so the accepted set is graph::rmat's, shortfall at
+  // the cap included.
+  const detail::RmatShape shape{spec.scale, spec.a, spec.b, spec.c, spec.seed};
+  const std::int64_t cap = detail::rmat_attempt_cap(spec.target_edges);
+  const auto sub_window = static_cast<std::int64_t>(chunk_records);
+  std::string firsts_path;
+  std::int64_t distinct = 0;
+  for (std::int64_t covered = 0, window = 0; covered < cap && distinct < spec.target_edges;
+       ++window) {
+    const std::int64_t end = detail::rmat_window_end(covered, spec.target_edges);
+    ExternalSorter<RmatDraw, RmatDrawByPair> by_pair(spill + "/pairs" + std::to_string(window),
+                                                     chunk_records, RmatDrawByPair{});
+    if (!firsts_path.empty()) by_pair.adopt_run(firsts_path);
+    for (std::int64_t a0 = covered; a0 < end; a0 += sub_window) {
+      const std::int64_t a1 = std::min(end, a0 + sub_window);
+      by_pair.append(static_cast<std::size_t>(a1 - a0), [&](std::vector<RmatDraw>& buf) {
+        detail::rmat_draws(shape, a0, a1, buf);
+      });
     }
-
-    // ---- Phase B: first attempt per key -> survivors ordered by attempt
-    // index -> first target_edges become the accepted edge list, streamed to
-    // a flat file while node degrees accumulate.
-    ExternalSorter<DedupRec, DedupByIdx> by_idx(spill + "/byidx", chunk_records, DedupByIdx{});
-    result.peak_buffer_bytes =
-        std::max(result.peak_buffer_bytes, by_key.peak_bytes() + by_idx.peak_bytes());
+    firsts_path = spill + "/firsts" + std::to_string(window) + ".run";
+    RecordWriter<RmatDraw> firsts(firsts_path);
+    distinct = 0;
     std::uint64_t prev_key = 0;
-    bool have_prev = false;
-    by_key.merge([&](const DedupRec& r) {
-      if (!have_prev || r.key != prev_key) {
-        by_idx.push(r);
-        prev_key = r.key;
-        have_prev = true;
+    by_pair.merge([&](const RmatDraw& r) {
+      const std::uint64_t key = detail::rmat_pair_key(r.edge);
+      if (distinct == 0 || key != prev_key) {
+        firsts.push(r);
+        prev_key = key;
+        ++distinct;
       }
       return true;
     });
+    firsts.close();
+    result.peak_buffer_bytes = std::max(result.peak_buffer_bytes, by_pair.peak_bytes());
+    covered = end;
+  }
 
-    auto out = io::open_file(edges_path, "wb");
-    std::vector<std::int32_t> wbuf;
-    wbuf.reserve(std::size_t{1} << 16);
+  // ---- Phase B: the first draws in attempt order -> the first
+  // target_edges become the accepted edge list, streamed to a flat file
+  // while node degrees accumulate.
+  const std::string edges_path = spill + "/edges.bin";
+  std::vector<std::int64_t> deg(static_cast<std::size_t>(n), 0);
+  {
+    ExternalSorter<RmatDraw, RmatDrawByAttempt> by_attempt(spill + "/byattempt", chunk_records,
+                                                           RmatDrawByAttempt{});
+    for_each_record<RmatDraw>(firsts_path, [&](const RmatDraw& r) { by_attempt.push(r); });
+    fs::remove(firsts_path);
+    result.peak_buffer_bytes = std::max(result.peak_buffer_bytes, by_attempt.peak_bytes());
+
+    RecordWriter<std::int32_t> out(edges_path);
     std::int64_t accepted = 0;
-    by_idx.merge([&](const DedupRec& r) {
-      const auto u = static_cast<std::int64_t>(r.key >> 32);
-      const auto v = static_cast<std::int64_t>(r.key & 0xffffffffULL);
+    by_attempt.merge([&](const RmatDraw& r) {
+      const auto u = static_cast<std::int64_t>(r.edge >> 32);
+      const auto v = static_cast<std::int64_t>(r.edge & 0xffffffffULL);
       deg[static_cast<std::size_t>(u)]++;
       deg[static_cast<std::size_t>(v)]++;
-      wbuf.push_back(static_cast<std::int32_t>(u));
-      wbuf.push_back(static_cast<std::int32_t>(v));
-      if (wbuf.size() == wbuf.capacity()) {
-        io::write_array(out.get(), wbuf.data(), wbuf.size());
-        wbuf.clear();
-      }
+      out.push(static_cast<std::int32_t>(u));
+      out.push(static_cast<std::int32_t>(v));
       ++accepted;
       return accepted < spec.target_edges;
     });
-    io::write_array(out.get(), wbuf.data(), wbuf.size());
     out.close();
     result.num_edges = accepted;
   }
@@ -421,34 +454,25 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
                                   const std::vector<std::int64_t>& row_map,
                                   const std::vector<std::int64_t>& col_map) {
     ExternalSorter<EdgeRec, EdgeRecLess> sorter(spill + "/" + prefix, chunk_records,
-                                                EdgeRecLess{padded / spec.parts});
-    {
-      auto in = io::open_file(edges_path, "rb");
-      std::vector<std::int32_t> rbuf(std::size_t{1} << 16);
-      for (;;) {
-        const std::size_t got =
-            io::checked_fread(rbuf.data(), sizeof(std::int32_t), rbuf.size(), in.get());
-        if (got == 0) break;
-        PLEXUS_CHECK(got % 2 == 0, "rmat_to_shards: odd edge record in " + edges_path);
-        for (std::size_t i = 0; i < got; i += 2) {
-          const auto u = static_cast<std::int64_t>(rbuf[i]);
-          const auto v = static_cast<std::int64_t>(rbuf[i + 1]);
-          const auto w = static_cast<float>(inv_sqrt[static_cast<std::size_t>(u)] *
-                                            inv_sqrt[static_cast<std::size_t>(v)]);
-          sorter.push(EdgeRec{static_cast<std::int32_t>(row_map[static_cast<std::size_t>(u)]),
-                              static_cast<std::int32_t>(col_map[static_cast<std::size_t>(v)]),
-                              w});
-          sorter.push(EdgeRec{static_cast<std::int32_t>(row_map[static_cast<std::size_t>(v)]),
-                              static_cast<std::int32_t>(col_map[static_cast<std::size_t>(u)]),
-                              w});
-        }
-      }
-    }
+                                                EdgeRecLess{});
+    const std::int64_t col_width = padded / spec.parts;
+    const auto push = [&](std::size_t u, std::size_t v, float w) {
+      const std::int64_t row = row_map[u];
+      const std::int64_t col = col_map[v];
+      sorter.push(EdgeRec{static_cast<std::uint64_t>(col / col_width) << 32 |
+                              static_cast<std::uint64_t>(row),
+                          static_cast<std::int32_t>(col), w});
+    };
+    for_each_record<std::array<std::int32_t, 2>>(edges_path, [&](const auto& edge) {
+      const auto u = static_cast<std::size_t>(edge[0]);
+      const auto v = static_cast<std::size_t>(edge[1]);
+      const auto w = static_cast<float>(inv_sqrt[u] * inv_sqrt[v]);
+      push(u, v, w);
+      push(v, u, w);
+    });
     for (std::int64_t r = 0; r < n; ++r) {
       const auto inv = inv_sqrt[static_cast<std::size_t>(r)];
-      sorter.push(EdgeRec{static_cast<std::int32_t>(row_map[static_cast<std::size_t>(r)]),
-                          static_cast<std::int32_t>(col_map[static_cast<std::size_t>(r)]),
-                          static_cast<float>(inv * inv)});
+      push(static_cast<std::size_t>(r), static_cast<std::size_t>(r), static_cast<float>(inv * inv));
     }
     result.peak_buffer_bytes = std::max(result.peak_buffer_bytes, sorter.peak_bytes());
     return write_blocks_streamed(dir, prefix, padded, spec.parts, sorter,
@@ -504,11 +528,13 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
     io::write_plexus_meta(dir, pm);
   }
   {
-    // Feature row stripes, one row at a time: row p_c[u] carries node u's
-    // synthetic features (graph.cpp recipe), padding rows stay zero.
+    // Feature row stripes, a block of rows at a time, filled row-parallel:
+    // row p_c[u] carries node u's synthetic features (graph.cpp recipe),
+    // padding rows stay zero.
     const util::CounterRng rng(util::hash_combine(spec.seed, 0xfea7));
     const auto rb = sparse::block_bounds(padded, spec.parts);
-    std::vector<float> row(static_cast<std::size_t>(padded_dim), 0.0f);
+    constexpr std::int64_t kBlockRows = 4096;
+    std::vector<float> block;
     for (int r = 0; r < spec.parts; ++r) {
       const auto r0 = rb[static_cast<std::size_t>(r)];
       const auto r1 = rb[static_cast<std::size_t>(r) + 1];
@@ -517,20 +543,28 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
       io::write_pod(f.get(), r0);
       io::write_pod(f.get(), r1 - r0);
       io::write_pod(f.get(), padded_dim);
-      for (std::int64_t dst = r0; dst < r1; ++dst) {
-        std::fill(row.begin(), row.end(), 0.0f);
-        const auto u = p_c_inv[static_cast<std::size_t>(dst)];
-        if (u < n) {
-          for (std::int64_t k = 0; k < spec.feature_dim; ++k) {
-            row[static_cast<std::size_t>(k)] = rng.uniform_at(
-                static_cast<std::uint64_t>(u * spec.feature_dim + k), -1.0f, 1.0f);
-          }
-          if (spec.label_signal != 0.0f) {
-            row[static_cast<std::size_t>(labels[static_cast<std::size_t>(u)] %
-                                         spec.feature_dim)] += spec.label_signal;
-          }
-        }
-        io::write_array(f.get(), row.data(), row.size());
+      for (std::int64_t b0 = r0; b0 < r1; b0 += kBlockRows) {
+        const std::int64_t b1 = std::min(r1, b0 + kBlockRows);
+        block.assign(static_cast<std::size_t>((b1 - b0) * padded_dim), 0.0f);
+        util::parallel_for(
+            b0, b1,
+            [&](std::int64_t d0, std::int64_t d1) {
+              for (std::int64_t dst = d0; dst < d1; ++dst) {
+                const auto u = p_c_inv[static_cast<std::size_t>(dst)];
+                if (u >= n) continue;
+                float* row = block.data() + (dst - b0) * padded_dim;
+                for (std::int64_t k = 0; k < spec.feature_dim; ++k) {
+                  row[k] = rng.uniform_at(static_cast<std::uint64_t>(u * spec.feature_dim + k),
+                                          -1.0f, 1.0f);
+                }
+                if (spec.label_signal != 0.0f) {
+                  row[labels[static_cast<std::size_t>(u)] % spec.feature_dim] +=
+                      spec.label_signal;
+                }
+              }
+            },
+            (b1 - b0) * spec.feature_dim);
+        io::write_array(f.get(), block.data(), block.size());
       }
       f.close();
     }

@@ -9,9 +9,12 @@
 ///
 /// at overlapping scales — the property the streaming-epoch loss gate rests
 /// on — but peak memory is O(nodes) arrays (degrees, permutations, labels)
-/// plus bounded sort chunks, never O(edges). Edge attempts replay the exact
-/// `graph::rmat` RNG stream; duplicates are removed by external sort instead
-/// of a hash set, keeping the accepted edge set bitwise identical.
+/// plus bounded sort chunks, never O(edges). Edge attempts come from the
+/// attempt stream `graph::rmat` uses (graph::detail::rmat_draws), in the
+/// same early-stopping windows; duplicates are removed by external sort,
+/// keeping the accepted edge set bitwise identical. Runs on the whole
+/// process thread budget (util::ScopedProcessThreads); the output does not
+/// depend on it.
 
 #include <cstdint>
 #include <string>

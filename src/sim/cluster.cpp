@@ -13,8 +13,7 @@ namespace plexus::sim {
 
 int resolve_intra_rank_threads(int requested, int num_ranks) {
   if (requested > 0) return requested;
-  const int env = util::env_thread_override();
-  const int total = env > 0 ? env : util::hardware_threads();
+  const int total = util::process_threads();
   // A rank's comm channels share the rank's host-thread slice: when enabled,
   // one slot of the per-rank share is reserved for them so compute pools plus
   // comm threads stay near the process budget. One slot suffices for any

@@ -21,6 +21,9 @@ class Csr {
   Csr() = default;
   Csr(std::int64_t rows, std::int64_t cols);
 
+  /// Row-parallel; a row's entries keep their COO order up to the per-row
+  /// sort, so the result (duplicate sums included) is bitwise-identical for
+  /// any thread count.
   static Csr from_coo(const Coo& coo, bool sum_duplicates = true);
 
   std::int64_t rows() const { return num_rows_; }
@@ -41,8 +44,12 @@ class Csr {
   }
 
   /// B with B[row_map[u], col_map[v]] = A[u, v]; i.e. B = P_r A P_c^T where the
-  /// permutation maps old index -> new index.
+  /// permutation maps old index -> new index. Row-parallel.
   Csr permuted(std::span<const std::int64_t> row_map, std::span<const std::int64_t> col_map) const;
+
+  /// The same entries in a rows x cols matrix at least this large; the added
+  /// rows are empty. Moves the arrays.
+  Csr padded_to(std::int64_t rows, std::int64_t cols) &&;
 
   /// Transposed copy (counting sort; O(nnz)).
   Csr transposed() const;
@@ -71,6 +78,15 @@ class Csr {
                         std::vector<std::int32_t> col_idx, std::vector<float> vals);
 
  private:
+  friend Csr normalize_adjacency(const Csr& a, std::int64_t active_nodes);
+
+  /// Puts every row in strictly increasing column order, merging duplicate
+  /// columns (summed, or the first kept when !sum_duplicates), and checks the
+  /// column range. Rows already strictly increasing stay as they are; the
+  /// others get the serial builder's per-row sort, so the result does not
+  /// depend on the thread count. Row-parallel.
+  void sort_rows(bool sum_duplicates);
+
   std::int64_t num_rows_ = 0;
   std::int64_t num_cols_ = 0;
   std::vector<std::int64_t> row_ptr_;  // size num_rows_ + 1
@@ -81,6 +97,8 @@ class Csr {
 /// \brief GCN preprocessing (section 2.1): given a square adjacency A restricted
 /// to `active_nodes` (rows/cols < active_nodes get self-loops; padded tail stays
 /// empty), returns D^{-1/2} (A + I) D^{-1/2} where D is the degree of (A + I).
+/// Row-parallel: each row is built on its own, the self loop inserted in
+/// column order.
 Csr normalize_adjacency(const Csr& a, std::int64_t active_nodes);
 
 /// Symmetrise: returns max(A, A^T) pattern union with value 1.0 entries

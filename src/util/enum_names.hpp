@@ -104,7 +104,7 @@ std::string enum_error(std::string_view got, std::string_view choices = {}) {
 /// Read an enum from environment variable `var`: nullopt when it is unset or
 /// empty, the value when it names a table entry (case-insensitive). A value
 /// outside the table also yields nullopt — the caller's default — and logs
-/// one Warn per process and variable, e.g.
+/// one Warn per process, variable and value (util::warn_env_ignored), e.g.
 /// "PLEXUS_BACKEND=local not recognized (sim | mpi); using the default".
 /// `choices` overrides the listing as in `enum_error`.
 template <typename E>
@@ -113,11 +113,7 @@ std::optional<E> env_enum(const char* var, std::string_view choices = {}) {
   if (s == nullptr || *s == '\0') return std::nullopt;
   E v{};
   if (enum_from_string(s, v)) return v;
-  if (first_occurrence(var)) {
-    PLEXUS_LOG(Warn) << var << "=" << s << " not recognized ("
-                     << (choices.empty() ? enum_choices<E>() : std::string(choices))
-                     << "); using the default";
-  }
+  warn_env_ignored(var, s, choices.empty() ? enum_choices<E>() : std::string(choices));
   return std::nullopt;
 }
 

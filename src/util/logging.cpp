@@ -37,4 +37,10 @@ bool first_occurrence(const std::string& key) {
   return seen.insert(key).second;
 }
 
+void warn_env_ignored(const char* var, const char* value, const std::string& expected) {
+  if (!first_occurrence(std::string(var) + "=" + value)) return;
+  PLEXUS_LOG(Warn) << var << "=" << value << " not recognized (" << expected
+                   << "); using the default";
+}
+
 }  // namespace plexus::util

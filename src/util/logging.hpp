@@ -22,6 +22,11 @@ void log_message(LogLevel level, const std::string& msg);
 /// once-per-process warnings. Thread-safe.
 bool first_occurrence(const std::string& key);
 
+/// Logs one Warn per process, variable and value that an environment value
+/// was ignored: "<var>=<value> not recognized (<expected>); using the
+/// default". The one message every env reader (env_enum, env_int) uses.
+void warn_env_ignored(const char* var, const char* value, const std::string& expected);
+
 namespace detail {
 class LogLine {
  public:

@@ -7,7 +7,12 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <string_view>
+
+#include "util/logging.hpp"
 
 namespace plexus::util {
 
@@ -33,6 +38,22 @@ inline bool parse_int(std::string_view s, int& out) {
   }
   out = static_cast<int>(v);
   return true;
+}
+
+/// Read an integer from environment variable `var`: nullopt when it is unset
+/// or empty, the value when the whole string is an integer in [lo, hi].
+/// Anything else ("4x", "-1" below lo, overflow) also yields nullopt — the
+/// caller's default — with the one warn-once message env_enum uses, e.g.
+/// "PLEXUS_THREADS=4x not recognized (an integer in [1, 4096]); using the
+/// default".
+inline std::optional<int> env_int(const char* var, int lo, int hi) {
+  const char* s = std::getenv(var);
+  if (s == nullptr || *s == '\0') return std::nullopt;
+  int v = 0;
+  if (parse_int(s, v) && v >= lo && v <= hi) return v;
+  warn_env_ignored(var, s,
+                   "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return std::nullopt;
 }
 
 }  // namespace plexus::util

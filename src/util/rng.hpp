@@ -47,6 +47,10 @@ class SplitMix64 {
   /// Uniform float in [0, 1).
   float next_float() { return static_cast<float>(next_double()); }
 
+  /// Jump ahead: the state after `n` more draws, in O(1). Each draw adds the
+  /// same constant to the state, so n draws add n times it (mod 2^64).
+  void skip(std::uint64_t n) { state_ += n * 0x9e3779b97f4a7c15ULL; }
+
   /// Uniform integer in [0, n) without modulo bias for the sizes we use.
   std::uint64_t next_below(std::uint64_t n) {
     return n == 0 ? 0 : next_u64() % n;

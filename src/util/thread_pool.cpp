@@ -1,9 +1,9 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace plexus::util {
 
@@ -171,13 +171,11 @@ int hardware_threads() {
   return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
-int env_thread_override() {
-  const char* s = std::getenv("PLEXUS_THREADS");
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 1 || v > 4096) return 0;
-  return static_cast<int>(v);
+int env_thread_override() { return env_int("PLEXUS_THREADS", 1, 4096).value_or(0); }
+
+int process_threads() {
+  const int env = env_thread_override();
+  return env > 0 ? env : hardware_threads();
 }
 
 int intra_rank_threads() {
@@ -202,6 +200,16 @@ void set_intra_rank_threads(int n) {
     tl_engine.pool.reset();
   }
   tl_engine.budget = n;
+}
+
+ScopedProcessThreads::ScopedProcessThreads() {
+  if (tl_in_worker || (tl_engine.pool && tl_engine.pool->busy())) return;
+  prev_ = intra_rank_threads();
+  set_intra_rank_threads(process_threads());
+}
+
+ScopedProcessThreads::~ScopedProcessThreads() {
+  if (prev_ > 0) set_intra_rank_threads(prev_);
 }
 
 std::int64_t parallel_chunk_count(std::int64_t n, std::int64_t grain) {

@@ -28,6 +28,7 @@
 /// the calling thread after all workers finish the job; output written by the
 /// failed job is unspecified.
 
+#include <algorithm>
 #include <cstdint>
 #include <condition_variable>
 #include <exception>
@@ -94,8 +95,15 @@ class ThreadPool {
 int hardware_threads();
 
 /// Parsed value of the PLEXUS_THREADS environment variable (the process-wide
-/// compute-thread budget), or 0 when unset/invalid.
+/// compute-thread budget), or 0 when unset. A malformed value warns once
+/// (util::env_int) and also reads as 0.
 int env_thread_override();
+
+/// The process-wide compute budget: PLEXUS_THREADS when set, else
+/// hardware_threads(). sim::resolve_intra_rank_threads divides it across
+/// simulated ranks; single-threaded phases such as setup use all of it
+/// (ScopedProcessThreads).
+int process_threads();
 
 /// The calling thread's intra-rank thread budget. First use on a fresh thread
 /// resolves to PLEXUS_THREADS when set, else 1.
@@ -139,5 +147,63 @@ class ScopedIntraRankThreads {
  private:
   int prev_;
 };
+
+/// RAII: raises the calling thread's budget to process_threads() for the
+/// scope and restores it after. Setup entry points (make_proxy,
+/// preprocess_graph, rmat_to_shards) open one, so generation and
+/// preprocessing use every core although a fresh thread's budget is 1.
+/// Does nothing on a pool worker or inside a running parallel body, where the
+/// budget must stay as it is.
+class ScopedProcessThreads {
+ public:
+  ScopedProcessThreads();
+  ~ScopedProcessThreads();
+  ScopedProcessThreads(const ScopedProcessThreads&) = delete;
+  ScopedProcessThreads& operator=(const ScopedProcessThreads&) = delete;
+
+ private:
+  int prev_ = 0;  ///< 0 = the scope changed nothing
+};
+
+/// Sorts `v` under `less` on the calling thread's engine: one std::sort per
+/// chunk, then rounds of pairwise std::merge. When no two elements of `v`
+/// compare equivalent the sorted order is unique, so the result is
+/// bitwise-identical to std::sort for every thread budget — the only use
+/// callers may make of it. Merges through `scratch` (resized to v.size();
+/// on return it holds some buffer of that capacity), which callers sorting
+/// repeatedly keep to reuse the allocation.
+template <typename T, typename Less>
+void parallel_sort(std::vector<T>& v, Less less, std::vector<T>& scratch) {
+  // Below this many elements per chunk a pool dispatch costs more than it saves.
+  constexpr std::int64_t kMinChunk = std::int64_t{1} << 14;
+  const auto n = static_cast<std::int64_t>(v.size());
+  const std::int64_t chunks = std::min<std::int64_t>(intra_rank_threads(), n / kMinChunk);
+  if (chunks <= 1) {
+    std::sort(v.begin(), v.end(), less);
+    return;
+  }
+  const auto bound = [&](std::int64_t c) { return std::min(c, chunks) * n / chunks; };
+  parallel_for_grain(0, chunks, 1, [&](std::int64_t c, std::int64_t, std::int64_t) {
+    std::sort(v.begin() + bound(c), v.begin() + bound(c + 1), less);
+  });
+  scratch.resize(v.size());
+  for (std::int64_t width = 1; width < chunks; width *= 2) {
+    const std::int64_t pairs = (chunks + 2 * width - 1) / (2 * width);
+    parallel_for_grain(0, pairs, 1, [&](std::int64_t p, std::int64_t, std::int64_t) {
+      const auto lo = bound(2 * p * width);
+      const auto mid = bound((2 * p + 1) * width);
+      const auto hi = bound((2 * p + 2) * width);
+      std::merge(v.begin() + lo, v.begin() + mid, v.begin() + mid, v.begin() + hi,
+                 scratch.begin() + lo, less);
+    });
+    v.swap(scratch);
+  }
+}
+
+template <typename T, typename Less>
+void parallel_sort(std::vector<T>& v, Less less) {
+  std::vector<T> scratch;
+  parallel_sort(v, less, scratch);
+}
 
 }  // namespace plexus::util

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "comm/transport.hpp"
+
 #ifndef PLEXUS_QUICKSTART_BIN
 #error "PLEXUS_QUICKSTART_BIN must be defined by the build"
 #endif
@@ -23,10 +25,11 @@ struct QuickstartRun {
   std::vector<double> losses;  // per-epoch, in printed order
 };
 
-QuickstartRun run_quickstart() {
+/// `env` is prepended to the command line, e.g. "PLEXUS_BACKEND=mpi ".
+QuickstartRun run_quickstart(const std::string& env = "") {
   QuickstartRun run;
   // Merge stderr so a crash message shows up in the failure output.
-  const std::string cmd = std::string(PLEXUS_QUICKSTART_BIN) + " 2>&1";
+  const std::string cmd = env + std::string(PLEXUS_QUICKSTART_BIN) + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return run;
   char buf[4096];
@@ -67,4 +70,19 @@ TEST(QuickstartSmoke, TrainsWithFiniteDecreasingLoss) {
   }
   // The run must also report a sane validation accuracy line.
   EXPECT_NE(run.output.find("validation accuracy"), std::string::npos);
+}
+
+// A backend this build cannot run is an unrecognized PLEXUS_BACKEND value:
+// quickstart warns once and trains on sim (it used to abort on a rank thread
+// with exit status 134).
+TEST(QuickstartSmoke, UnavailableBackendFallsBackToSim) {
+  if (plexus::comm::mpi_transport_available()) GTEST_SKIP() << "mpi is a valid backend here";
+  const QuickstartRun fallback = run_quickstart("PLEXUS_BACKEND=mpi ");
+  ASSERT_EQ(fallback.exit_code, 0) << "output:\n" << fallback.output;
+  EXPECT_NE(fallback.output.find("PLEXUS_BACKEND=mpi not recognized (sim); using the default"),
+            std::string::npos)
+      << fallback.output;
+  const QuickstartRun sim = run_quickstart("PLEXUS_BACKEND=sim ");
+  ASSERT_EQ(sim.exit_code, 0) << "output:\n" << sim.output;
+  EXPECT_EQ(fallback.losses, sim.losses);
 }

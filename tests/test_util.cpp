@@ -7,6 +7,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pu = plexus::util;
 
@@ -14,6 +15,24 @@ TEST(Rng, SplitMixDeterministic) {
   pu::SplitMix64 a(42);
   pu::SplitMix64 b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(Rng, SplitMixSkipMatchesDraws) {
+  for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{34},
+                                std::uint64_t{1000000}}) {
+    pu::SplitMix64 drawn(0x27a7);
+    pu::SplitMix64 skipped(0x27a7);
+    for (std::uint64_t i = 0; i < n; ++i) drawn.next_u64();
+    skipped.skip(n);
+    EXPECT_EQ(skipped.next_u64(), drawn.next_u64()) << "n=" << n;
+    EXPECT_EQ(skipped.next_double(), drawn.next_double()) << "n=" << n;
+  }
+  // A state a few draws short of 2^64: the skip wraps exactly like the draws.
+  pu::SplitMix64 drawn(~std::uint64_t{0} - 3);
+  pu::SplitMix64 skipped(~std::uint64_t{0} - 3);
+  for (int i = 0; i < 5; ++i) drawn.next_u64();
+  skipped.skip(5);
+  EXPECT_EQ(skipped.next_u64(), drawn.next_u64());
 }
 
 TEST(Rng, SplitMixSeedsDiffer) {
@@ -198,6 +217,7 @@ TEST(Parse, RejectsGarbageUnlikeAtoi) {
 #include <cctype>
 #include <cstdlib>
 
+#include "comm/handle.hpp"
 #include "comm/transport.hpp"
 #include "core/layer.hpp"
 #include "core/preprocess.hpp"
@@ -305,6 +325,52 @@ TEST(EnumNames, UnrecognizedEnvValueFallsBackWithOneWarning) {
   EXPECT_EQ(count_of(err, "PLEXUS_AGG=sprase not recognized (dense | sparse | auto); "
                           "using the default"),
             1u)
+      << err;
+}
+
+TEST(EnvInt, MalformedPlexusThreadsFallsBackWithOneWarning) {
+  {
+    const ScopedEnv threads("PLEXUS_THREADS", "3");
+    EXPECT_EQ(pu::env_thread_override(), 3);
+    EXPECT_EQ(pu::process_threads(), 3);
+  }
+  const ScopedEnv threads("PLEXUS_THREADS", "4x");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(pu::env_thread_override(), 0);
+  EXPECT_EQ(pu::process_threads(), pu::hardware_threads());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(err, "PLEXUS_THREADS=4x not recognized (an integer in [1, 4096]); "
+                          "using the default"),
+            1u)
+      << err;
+}
+
+TEST(EnvInt, MalformedPlexusCommThreadsFallsBackWithOneWarning) {
+  plexus::comm::set_comm_thread_budget(-1);  // follow the environment
+  {
+    const ScopedEnv comm("PLEXUS_COMM_THREADS", "12");
+    EXPECT_EQ(plexus::comm::comm_thread_budget(), 8);  // valid, clamped
+  }
+  const ScopedEnv comm("PLEXUS_COMM_THREADS", "-1");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(plexus::comm::comm_thread_budget(), 1);
+  EXPECT_EQ(plexus::comm::comm_thread_budget(), 1);  // no second warning
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(err, "PLEXUS_COMM_THREADS=-1 not recognized (an integer in [0, 4096]); "
+                          "using the default"),
+            1u)
+      << err;
+}
+
+TEST(EnumNames, UnavailableBackendFallsBackToSimWithOneWarning) {
+  if (plexus::comm::mpi_transport_available()) GTEST_SKIP() << "mpi is a valid backend here";
+  plexus::comm::reset_default_backend();
+  const ScopedEnv backend("PLEXUS_BACKEND", "mpi");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(plexus::comm::default_backend(), plexus::comm::Backend::Sim);
+  EXPECT_EQ(plexus::comm::default_backend(), plexus::comm::Backend::Sim);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(err, "PLEXUS_BACKEND=mpi not recognized (sim); using the default"), 1u)
       << err;
 }
 
