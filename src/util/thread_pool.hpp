@@ -169,9 +169,9 @@ class ScopedProcessThreads {
 /// chunk, then rounds of pairwise std::merge. When no two elements of `v`
 /// compare equivalent the sorted order is unique, so the result is
 /// bitwise-identical to std::sort for every thread budget — the only use
-/// callers may make of it. Merges through `scratch` (resized to v.size();
-/// on return it holds some buffer of that capacity), which callers sorting
-/// repeatedly keep to reuse the allocation.
+/// callers may make of it. Merges through `scratch`, resized to v.size()
+/// (the two may trade buffers); callers that sort repeatedly keep it to
+/// reuse the allocation.
 template <typename T, typename Less>
 void parallel_sort(std::vector<T>& v, Less less, std::vector<T>& scratch) {
   // Below this many elements per chunk a pool dispatch costs more than it saves.
@@ -198,12 +198,6 @@ void parallel_sort(std::vector<T>& v, Less less, std::vector<T>& scratch) {
     });
     v.swap(scratch);
   }
-}
-
-template <typename T, typename Less>
-void parallel_sort(std::vector<T>& v, Less less) {
-  std::vector<T> scratch;
-  parallel_sort(v, less, scratch);
 }
 
 }  // namespace plexus::util

@@ -4,8 +4,10 @@
 // budget scoping, and nested use from simulated rank threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -16,6 +18,7 @@
 #include "comm/world.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pu = plexus::util;
@@ -147,6 +150,38 @@ TEST(ThreadPool, ScopedBudgetRestores) {
   }
   EXPECT_EQ(pu::intra_rank_threads(), 2);
   pu::set_intra_rank_threads(1);
+}
+
+TEST(ThreadPool, ScopedProcessThreadsRaisesToProcessBudgetAndRestores) {
+  pu::set_intra_rank_threads(1);
+  {
+    const pu::ScopedProcessThreads scope;
+    EXPECT_EQ(pu::intra_rank_threads(), pu::process_threads());
+  }
+  EXPECT_EQ(pu::intra_rank_threads(), 1);
+  // Inside a running body — on a worker or on the owner — it changes nothing.
+  pu::ScopedIntraRankThreads outer(3);
+  std::atomic<int> changed{0};
+  pu::parallel_for_grain(0, 6, 1, [&](std::int64_t, std::int64_t, std::int64_t) {
+    const int before = pu::intra_rank_threads();
+    const pu::ScopedProcessThreads scope;
+    if (pu::intra_rank_threads() != before) changed++;
+  });
+  EXPECT_EQ(changed.load(), 0);
+}
+
+TEST(ThreadPool, ParallelSortMatchesStdSortForAnyBudget) {
+  // Distinct keys: the sorted order is unique, so every budget must match.
+  const auto perm = pu::random_permutation(100003, 17);
+  std::vector<std::int64_t> want(perm);
+  std::sort(want.begin(), want.end(), std::greater<>());
+  for (const int threads : {1, 2, 3, 4}) {
+    pu::ScopedIntraRankThreads scope(threads);
+    std::vector<std::int64_t> got(perm);
+    std::vector<std::int64_t> scratch;
+    pu::parallel_sort(got, std::greater<>(), scratch);
+    EXPECT_EQ(got, want) << threads << " threads";
+  }
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineAndIsCorrect) {
