@@ -20,7 +20,9 @@ AdjacencyStore::AdjacencyStore(const DatasetView& view, const Grid3D& grid, int 
       const auto blk = matrix_shard(view.padded_nodes(), view.padded_nodes(), grid, c,
                                     /*row_axis=*/roles.r, /*col_axis=*/roles.p);
       LayerStreamPlan plan;
-      plan.version = view.scheme() == PermutationScheme::Double ? l % 2 : 0;
+      const bool two_versions = view.scheme() == PermutationScheme::Double;
+      plan.version = two_versions ? l % 2 : 0;
+      plan.transpose_version = two_versions ? (l + 1) % 2 : 0;
       plan.rows = blk.rows;
       plan.cols = blk.cols;
       plan.est_nnz = static_cast<std::int64_t>(

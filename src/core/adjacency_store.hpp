@@ -32,7 +32,12 @@ struct AdjacencyShard {
 /// streaming layer posts block loads against these coordinates instead of
 /// holding the CSR resident.
 struct LayerStreamPlan {
-  int version = 0;          ///< adjacency version (l % 2 under Double)
+  int version = 0;            ///< adjacency version (l % 2 under Double)
+  /// The version stored as this one's transpose: (l + 1) % 2 under Double
+  /// (P_c A~ P_r^T = (P_r A~ P_c^T)^T, A~ being bitwise symmetric), else 0
+  /// (the one matrix is its own transpose). The backward pass reads its A^T
+  /// row windows from it.
+  int transpose_version = 0;
   Slice rows;               ///< shard rows in padded global coordinates
   Slice cols;               ///< shard cols in padded global coordinates
   std::int64_t est_nnz = 0; ///< uniform-density estimate of the shard's nnz

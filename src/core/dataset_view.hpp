@@ -155,16 +155,8 @@ class ShardedDatasetView final : public DatasetView {
   io::BlockCache::Stats cache_stats() const;
 
  private:
-  /// Streamed equivalent of io::load_adjacency_block: same stripe walk,
-  /// same COO emission order, blocks served from the cache.
-  sparse::Csr streamed_adjacency_block(const std::string& prefix, std::int64_t r0,
-                                       std::int64_t r1, std::int64_t c0, std::int64_t c1,
-                                       std::int64_t* io_bytes) const;
-
   std::string dir_;
   std::int32_t adjacency_versions_ = 1;
-  std::int32_t grid_rows_ = 0;
-  std::int32_t grid_cols_ = 0;
   std::int64_t adjacency_nnz_ = 0;
   std::vector<std::int64_t> row_bounds_;
   std::vector<std::int64_t> col_bounds_;

@@ -361,9 +361,9 @@ void DistGcnLayer::aggregate(sim::RankContext& ctx, bool fwd, const dense::Matri
   // Block source. Streamed block loads are posted as IO futures into their
   // own pipeline deque, so disk reads (and any cache misses behind them)
   // overlap earlier blocks' SpMMs exactly like the exchanges do. Backward
-  // rows [b0, b1) of A^T are the column window [b0, b1) of A, which the IO
-  // worker loads and transposes (same canonical source-row order as the
-  // resident transpose).
+  // rows [b0, b1) of A^T are rows [c.begin + b0, c.begin + b1) x [r.begin,
+  // r.end) of the transpose version: the stored A^T, bitwise equal to the
+  // resident transpose.
   std::deque<std::future<BlockLoad>> loads;
   int* pf_cache = fwd ? &fwd_io_depth_ : &bwd_io_depth_;
   const int pf = a == nullptr ? resolve_prefetch_depth(ctx, bounds, in_rows, pf_cache) : 0;
@@ -376,9 +376,9 @@ void DistGcnLayer::aggregate(sim::RankContext& ctx, bool fwd, const dense::Matri
       const auto& r = splan_->rows;
       const auto& c = splan_->cols;
       loads.push_back(fwd ? stream_->post(splan_->version, r.begin + b0, r.begin + b1, c.begin,
-                                          c.end, /*transpose=*/false)
-                          : stream_->post(splan_->version, r.begin, r.end, c.begin + b0,
-                                          c.begin + b1, /*transpose=*/true));
+                                          c.end)
+                          : stream_->post(splan_->transpose_version, c.begin + b0,
+                                          c.begin + b1, r.begin, r.end));
     }
   };
   fill();

@@ -22,14 +22,13 @@ ShardStream::~ShardStream() {
 }
 
 std::future<BlockLoad> ShardStream::post(int version, std::int64_t r0, std::int64_t r1,
-                                         std::int64_t c0, std::int64_t c1, bool transpose) {
+                                         std::int64_t c0, std::int64_t c1) {
   Job job;
   job.version = version;
   job.r0 = r0;
   job.r1 = r1;
   job.c0 = c0;
   job.c1 = c1;
-  job.transpose = transpose;
   auto fut = job.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -60,7 +59,6 @@ void ShardStream::worker() {
       BlockLoad bl;
       bl.csr = view_->adjacency_block_counted(job.version, job.r0, job.r1, job.c0, job.c1,
                                               &bl.bytes_read);
-      if (job.transpose) bl.csr = bl.csr.transposed();
       job.promise.set_value(std::move(bl));
     } catch (...) {
       job.promise.set_exception(std::current_exception());

@@ -43,17 +43,15 @@ class ShardStream {
   ShardStream& operator=(const ShardStream&) = delete;
 
   /// Enqueue a load of adjacency window [r0, r1) x [c0, c1) of `version`.
-  /// With `transpose` set the worker returns the transposed window — the
-  /// backward pass's A^T block — computed off the rank thread so the
-  /// counting sort also hides behind compute.
+  /// The backward pass's A^T blocks are row windows of the transpose
+  /// version (LayerStreamPlan::transpose_version), read like any other.
   std::future<BlockLoad> post(int version, std::int64_t r0, std::int64_t r1, std::int64_t c0,
-                              std::int64_t c1, bool transpose);
+                              std::int64_t c1);
 
  private:
   struct Job {
     int version = 0;
     std::int64_t r0 = 0, r1 = 0, c0 = 0, c1 = 0;
-    bool transpose = false;
     std::promise<BlockLoad> promise;
   };
 

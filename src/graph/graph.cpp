@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -40,6 +43,26 @@ void Graph::validate() const {
     PLEXUS_CHECK(r >= 0 && r < num_nodes && c >= 0 && c < num_nodes, "edge out of range");
     PLEXUS_CHECK(r != c, "self loop in raw edge list");
   }
+  // Symmetric edge set: the (min, max) keys of the edges stored as u -> v
+  // with u < v and of those stored with u > v must be the same multiset.
+  std::vector<std::pair<std::int64_t, std::int64_t>> up;
+  std::vector<std::pair<std::int64_t, std::int64_t>> down;
+  for (std::int64_t i = 0; i < edges.nnz(); ++i) {
+    const std::int64_t r = edges.rows[static_cast<std::size_t>(i)];
+    const std::int64_t c = edges.cols[static_cast<std::size_t>(i)];
+    (r < c ? up : down).emplace_back(std::min(r, c), std::max(r, c));
+  }
+  std::sort(up.begin(), up.end());
+  std::sort(down.begin(), down.end());
+  if (up == down) return;
+  // The smaller key at the first difference is the edge missing its reverse.
+  const auto [u, d] = std::mismatch(up.begin(), up.end(), down.begin(), down.end());
+  const bool in_up = d == down.end() || (u != up.end() && *u < *d);
+  const auto [lo, hi] = in_up ? *u : *d;
+  const auto from = in_up ? lo : hi;
+  const auto to = in_up ? hi : lo;
+  PLEXUS_CHECK(false, "edge set not symmetric: edge " + std::to_string(from) + " -> " +
+                          std::to_string(to) + " has no reverse");
 }
 
 dense::Matrix synthetic_features(std::int64_t num_nodes, std::int64_t dim,

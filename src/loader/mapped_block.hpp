@@ -71,7 +71,8 @@ class ByteReader {
   /// i32 / f32 runs), which the alignment check enforces.
   template <typename T>
   std::span<const T> array(std::size_t count) {
-    need(count * sizeof(T));
+    // Divide rather than multiply: a corrupt count must not wrap the size.
+    PLEXUS_CHECK(count <= (size_ - off_) / sizeof(T), "truncated block file " + *path_);
     const std::byte* p = data_ + off_;
     PLEXUS_CHECK(reinterpret_cast<std::uintptr_t>(p) % alignof(T) == 0,
                  "misaligned array in " + *path_);

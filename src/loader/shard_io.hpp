@@ -10,12 +10,19 @@
 /// dataset into host memory first (the naive loader, also provided for the
 /// comparison the paper reports: 146 GB -> 9 GB and 139 s -> 7 s for
 /// ogbn-papers100M on 64 GPUs with 16 x 16 shards).
+///
+/// Every adjacency window, blocking or streamed, is built by one routine
+/// (assemble_adjacency_window) straight from the block files' CSR arrays.
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dense/matrix.hpp"
+#include "loader/mapped_block.hpp"
 #include "sparse/csr.hpp"
 
 namespace plexus::io {
@@ -80,6 +87,49 @@ ShardedMeta read_meta(const std::string& dir);
 PlexusShardMeta read_plexus_meta(const std::string& dir);
 
 ShardedMasks load_masks(const std::string& dir);
+
+/// One adjacency block file viewed in place: its header and its three CSR
+/// arrays as spans into the file bytes (a mapping or the heap-read copy).
+struct AdjacencyBlockView {
+  const std::string* path = nullptr;  ///< named in every diagnostic
+  std::int64_t row0 = 0;              ///< global row of local row 0
+  std::int64_t col0 = 0;              ///< global column of local column 0
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+  std::span<const std::int64_t> row_ptr;  ///< rows + 1 entries
+  std::span<const std::int32_t> col_idx;  ///< local columns
+  std::span<const float> vals;
+};
+
+/// Parse one block file: magic, header, then row_ptr / col_idx / vals.
+/// Throws std::runtime_error naming the file on a bad magic, a negative header
+/// field, a truncated file or a misaligned array.
+AdjacencyBlockView parse_adjacency_block(const MappedBlock& block);
+
+/// Window [r0, r1) x [c0, c1) of a matrix, from the blocks intersecting it,
+/// ordered by row stripe then column stripe. Counts each window row, then
+/// fills row_ptr, col_idx and vals once; a row concatenates its segments in
+/// column-stripe order, so its columns come out strictly increasing without
+/// a sort. Validates every block's row_ptr over all its rows, and each
+/// window row's columns (strictly increasing, inside the block): a failure
+/// throws std::runtime_error naming the file.
+sparse::Csr assemble_adjacency_window(std::span<const AdjacencyBlockView> blocks,
+                                      std::int64_t r0, std::int64_t r1, std::int64_t c0,
+                                      std::int64_t c1);
+
+/// Hands out one block file by path; the caller decides how (open or map it,
+/// serve it from a cache) and what to count.
+using BlockFetch = std::function<std::shared_ptr<const MappedBlock>(const std::string& path)>;
+
+/// Fetch the `<prefix>` block files intersecting [r0, r1) x [c0, c1) of the
+/// shard grid with stripe bounds `row_bounds` x `col_bounds`, check each
+/// header against its stripe, and assemble the window. The fetched blocks
+/// stay pinned until the window is built.
+sparse::Csr read_adjacency_window(const std::string& dir, const std::string& prefix,
+                                  std::span<const std::int64_t> row_bounds,
+                                  std::span<const std::int64_t> col_bounds, std::int64_t r0,
+                                  std::int64_t r1, std::int64_t c0, std::int64_t c1,
+                                  const BlockFetch& fetch);
 
 /// Parallel loader: merge only the blocks intersecting [r0, r1) x [c0, c1).
 /// `prefix` selects the adjacency version ("adj" = the primary matrix).

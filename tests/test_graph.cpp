@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/rmat_shards.hpp"
+#include "loader/shard_io.hpp"
 #include "sparse/partition2d.hpp"
 
 namespace pg = plexus::graph;
@@ -176,6 +178,90 @@ TEST(Graph, AdjacencyIsSymmetricPattern) {
   const auto a = g.adjacency();
   const auto at = a.transposed();
   EXPECT_TRUE(ps::Csr::equal(a, at));
+}
+
+TEST(Graph, ValidateRejectsOneDirectedEdge) {
+  auto g = pg::make_test_graph(100, 6.0, 8, 3, 17);
+  g.validate();
+  // Drop the first stored edge: its reverse stays behind, unmatched.
+  const auto from = g.edges.rows.front();
+  const auto to = static_cast<std::int64_t>(g.edges.cols.front());
+  g.edges.rows.erase(g.edges.rows.begin());
+  g.edges.cols.erase(g.edges.cols.begin());
+  g.edges.vals.erase(g.edges.vals.begin());
+  try {
+    g.validate();
+    FAIL() << "asymmetric edge set accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string want = "edge " + std::to_string(to) + " -> " + std::to_string(from) +
+                             " has no reverse";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+}
+
+// ---- The stored A^T ----------------------------------------------------
+//
+// A~ = D^-1/2 (A + I) D^-1/2 of a symmetric edge set is bitwise symmetric
+// (each value is inv_sqrt[u] * inv_sqrt[v], a commutative product), so the
+// Double scheme's two versions are transposes of each other and a single
+// version is its own transpose. The streamed backward pass reads its A^T
+// blocks from the other version on disk instead of transposing.
+
+namespace {
+
+void expect_bitwise_equal(const ps::Csr& got, const ps::Csr& want) {
+  ASSERT_TRUE(ps::Csr::equal(got, want, 0.0f));
+  ASSERT_EQ(got.vals().size(), want.vals().size());
+  EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(), want.vals().size_bytes()), 0);
+}
+
+ps::Csr read_block_file(const std::string& path) {
+  const auto mapped = plexus::io::MappedBlock::open(path);
+  const auto b = plexus::io::parse_adjacency_block(*mapped);
+  return ps::Csr::from_parts(b.rows, b.cols, {b.row_ptr.begin(), b.row_ptr.end()},
+                             {b.col_idx.begin(), b.col_idx.end()},
+                             {b.vals.begin(), b.vals.end()});
+}
+
+}  // namespace
+
+TEST(StoredTranspose, PreprocessedVersionsAreTransposesBitwise) {
+  for (const char* name : {"ogbn-products", "europe_osm"}) {
+    for (const std::uint64_t seed : {1u, 7u}) {
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      const auto g = pg::make_proxy(pg::dataset_info(name), 4096, seed);
+      g.validate();
+      const auto dbl =
+          plexus::core::preprocess_graph(g, plexus::core::PermutationScheme::Double, 2, 4, seed);
+      expect_bitwise_equal(dbl.adj_even.transposed(), dbl.adj_odd);
+      for (const auto scheme :
+           {plexus::core::PermutationScheme::None, plexus::core::PermutationScheme::Single}) {
+        const auto one = plexus::core::preprocess_graph(g, scheme, 2, 4, seed);
+        expect_bitwise_equal(one.adj_even.transposed(), one.adj_even);
+      }
+    }
+  }
+}
+
+TEST(StoredTranspose, RmatShardBlocksAreTransposesBitwise) {
+  auto spec = pg::proxy_shards_spec(pg::dataset_info("ogbn-products"), 4096, 5);
+  spec.scheme = 2;
+  spec.pad_multiple = 3;
+  spec.parts = 3;
+  const auto dir =
+      (std::filesystem::temp_directory_path() / "plexus_stored_transpose_shards").string();
+  std::filesystem::remove_all(dir);
+  pg::rmat_to_shards(dir, spec);
+  for (int r = 0; r < spec.parts; ++r) {
+    for (int c = 0; c < spec.parts; ++c) {
+      SCOPED_TRACE("block " + std::to_string(r) + "," + std::to_string(c));
+      const auto adj = read_block_file(plexus::io::adjacency_block_path(dir, "adj", r, c));
+      const auto adjo = read_block_file(plexus::io::adjacency_block_path(dir, "adjo", c, r));
+      EXPECT_GT(adj.nnz(), 0);
+      expect_bitwise_equal(adj.transposed(), adjo);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---- Setup golden hashes ------------------------------------------------

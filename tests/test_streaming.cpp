@@ -3,8 +3,10 @@
 // knob — bitwise-identical losses, accuracies and simulated clocks against
 // the fully resident run — while holding the block cache under the RSS
 // budget. Plus the LRU BlockCache unit contract and the loader fault-
-// injection seam: short reads, EINTR interruptions and mid-epoch truncation
-// must surface as clean diagnostics (or, for EINTR, not at all).
+// injection seam: short reads, EINTR interruptions, mid-epoch truncation and
+// corrupt block contents must surface as clean diagnostics (or, for EINTR,
+// not at all). CTest runs this binary twice: on mapped block files and, as
+// test_streaming_heap, on the PLEXUS_NO_MMAP heap-read path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +14,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "core/dataset_view.hpp"
 #include "core/preprocess.hpp"
@@ -30,7 +36,11 @@ using namespace plexus;
 namespace {
 
 std::string fresh_dir(const std::string& tag) {
-  const auto dir = (fs::temp_directory_path() / ("plexus_streaming_" + tag)).string();
+  // Per process: the mapped and the heap-read runs of this binary may run
+  // at the same time.
+  const auto dir = (fs::temp_directory_path() /
+                    ("plexus_streaming_" + std::to_string(::getpid()) + "_" + tag))
+                       .string();
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -44,11 +54,12 @@ void write_file(const std::string& path, std::size_t bytes) {
 
 /// Small ogbn-products proxy preprocessed for a volume-4 grid, written as a
 /// 4x4 shard directory — the shared dataset of the streaming tests.
-core::PlexusDataset make_dataset(std::int64_t nodes = 4096) {
+core::PlexusDataset make_dataset(
+    std::int64_t nodes = 4096,
+    core::PermutationScheme scheme = core::PermutationScheme::Double) {
   const auto& info = graph::dataset_info("ogbn-products");
   const auto g = graph::make_proxy(info, nodes, /*seed=*/1);
-  return core::preprocess_graph(g, core::PermutationScheme::Double, /*num_layers=*/2,
-                                /*pad_multiple=*/4, /*seed=*/7);
+  return core::preprocess_graph(g, scheme, /*num_layers=*/2, /*pad_multiple=*/4, /*seed=*/7);
 }
 
 std::string write_shards(const core::PlexusDataset& ds, const std::string& tag) {
@@ -126,6 +137,7 @@ TEST(BlockCache, LruEvictionOrder) {
   EXPECT_EQ(cache.stats().hits, 2);
   { auto p = cache.get(b); }  // was evicted: reload
   EXPECT_EQ(cache.stats().misses, 4);
+  fs::remove_all(dir);
 }
 
 TEST(BlockCache, PinnedBlocksSurviveBudgetZero) {
@@ -147,6 +159,7 @@ TEST(BlockCache, PinnedBlocksSurviveBudgetZero) {
   { auto p = cache.get(a); }  // still resident, still this mapping
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(pin->size_bytes(), 1000);
+  fs::remove_all(dir);
 }
 
 TEST(BlockCache, BudgetZeroKeepsNothingUnpinned) {
@@ -165,6 +178,7 @@ TEST(BlockCache, BudgetZeroKeepsNothingUnpinned) {
   { auto p = cache.get(a); }          // a was reclaimed: miss again
   EXPECT_EQ(cache.stats().misses, 3);
   EXPECT_EQ(cache.stats().hits, 0);
+  fs::remove_all(dir);
 }
 
 TEST(BlockCache, MissBytesAccumulate) {
@@ -184,6 +198,7 @@ TEST(BlockCache, MissBytesAccumulate) {
   EXPECT_EQ(bytes, 1000);
   EXPECT_EQ(cache.stats().evictions, 0);
   EXPECT_EQ(cache.stats().resident_bytes, 1000);
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,37 +246,43 @@ TEST(Streaming, BudgetedViewMatchesPlainViewBitwise) {
 // ---------------------------------------------------------------------------
 
 TEST(Streaming, TrainMatchesInMemoryBitwise) {
-  const auto ds = make_dataset();
-  const auto dir = write_shards(ds, "train");
-  // Frozen input features leave layer 0's backward without an exchange
-  // (FinalReduce::None); trainable ones reduce-scatter it.
-  for (const bool train_features : {true, false}) {
-    SCOPED_TRACE(train_features ? "trainable features" : "frozen features");
-    auto opt = base_options();
-    opt.model.train_input_features = train_features;
+  // Under Double the backward pass reads A^T from the other version's files;
+  // under None and Single from the one version itself.
+  for (const auto scheme : {core::PermutationScheme::None, core::PermutationScheme::Single,
+                            core::PermutationScheme::Double}) {
+    SCOPED_TRACE(core::scheme_name(scheme));
+    const auto ds = make_dataset(4096, scheme);
+    const auto dir = write_shards(ds, "train");
+    // Frozen input features leave layer 0's backward without an exchange
+    // (FinalReduce::None); trainable ones reduce-scatter it.
+    for (const bool train_features : {true, false}) {
+      SCOPED_TRACE(train_features ? "trainable features" : "frozen features");
+      auto opt = base_options();
+      opt.model.train_input_features = train_features;
 
-    const auto resident = core::train_plexus(core::InMemoryDatasetView(ds), opt);
+      const auto resident = core::train_plexus(core::InMemoryDatasetView(ds), opt);
 
-    auto sopt = opt;
-    sopt.rss_budget_bytes = 1 << 20;  // well below the on-disk adjacency bytes
-    const auto streamed = core::train_plexus_streaming(dir, sopt);
+      auto sopt = opt;
+      sopt.rss_budget_bytes = 1 << 20;  // well below the on-disk adjacency bytes
+      const auto streamed = core::train_plexus_streaming(dir, sopt);
 
-    ASSERT_EQ(streamed.epochs.size(), resident.epochs.size());
-    for (std::size_t e = 0; e < resident.epochs.size(); ++e) {
-      SCOPED_TRACE(e);
-      // Bitwise: streaming is a pure memory/scheduling knob. Even the
-      // simulated clock matches — block loads charge the same SpMM shapes.
-      EXPECT_EQ(streamed.epochs[e].loss, resident.epochs[e].loss);
-      EXPECT_EQ(streamed.epochs[e].train_accuracy, resident.epochs[e].train_accuracy);
-      EXPECT_EQ(streamed.epochs[e].epoch_seconds, resident.epochs[e].epoch_seconds);
-      EXPECT_EQ(streamed.epochs[e].comm_wire_bytes, resident.epochs[e].comm_wire_bytes);
-      // Resident mode never reports IO.
-      EXPECT_EQ(resident.epochs[e].io_bytes_streamed, 0.0);
-      EXPECT_EQ(resident.epochs[e].io_exposed_seconds, 0.0);
+      ASSERT_EQ(streamed.epochs.size(), resident.epochs.size());
+      for (std::size_t e = 0; e < resident.epochs.size(); ++e) {
+        SCOPED_TRACE(e);
+        // Bitwise: streaming is a pure memory/scheduling knob. Even the
+        // simulated clock matches — block loads charge the same SpMM shapes.
+        EXPECT_EQ(streamed.epochs[e].loss, resident.epochs[e].loss);
+        EXPECT_EQ(streamed.epochs[e].train_accuracy, resident.epochs[e].train_accuracy);
+        EXPECT_EQ(streamed.epochs[e].epoch_seconds, resident.epochs[e].epoch_seconds);
+        EXPECT_EQ(streamed.epochs[e].comm_wire_bytes, resident.epochs[e].comm_wire_bytes);
+        // Resident mode never reports IO.
+        EXPECT_EQ(resident.epochs[e].io_bytes_streamed, 0.0);
+        EXPECT_EQ(resident.epochs[e].io_exposed_seconds, 0.0);
+      }
+      EXPECT_GT(streamed.epochs[0].io_bytes_streamed, 0.0);
     }
-    EXPECT_GT(streamed.epochs[0].io_bytes_streamed, 0.0);
+    fs::remove_all(dir);
   }
-  fs::remove_all(dir);
 }
 
 TEST(Streaming, PeakCacheRespectsBudget) {
@@ -421,5 +442,95 @@ TEST(Streaming, CorruptHeaderThrowsCleanly) {
     std::fclose(f);
   }
   EXPECT_THROW(core::train_plexus_streaming(dir, single_rank_options()), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+namespace {
+
+/// Rewrite entries of the first row of `path` with at least two entries:
+/// `edit` gets that row's local columns and changes them in place.
+void rewrite_first_long_row(const std::string& path,
+                            const std::function<void(std::vector<std::int32_t>&)>& edit) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  std::int64_t header[6] = {};  // magic, row0, col0, rows, cols, nnz
+  f.read(reinterpret_cast<char*>(header), sizeof(header));
+  const std::int64_t rows = header[3];
+  std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(rows) + 1);
+  f.read(reinterpret_cast<char*>(row_ptr.data()),
+         static_cast<std::streamsize>(row_ptr.size() * sizeof(std::int64_t)));
+  std::int64_t lr = 0;
+  while (lr < rows && row_ptr[static_cast<std::size_t>(lr) + 1] -
+                              row_ptr[static_cast<std::size_t>(lr)] < 2) {
+    ++lr;
+  }
+  ASSERT_LT(lr, rows) << "no row with two entries in " << path;
+  const auto k0 = row_ptr[static_cast<std::size_t>(lr)];
+  const auto len = row_ptr[static_cast<std::size_t>(lr) + 1] - k0;
+  const auto offset = static_cast<std::streamoff>(sizeof(header) + row_ptr.size() * 8 + k0 * 4);
+  std::vector<std::int32_t> cols(static_cast<std::size_t>(len));
+  f.seekg(offset);
+  f.read(reinterpret_cast<char*>(cols.data()), static_cast<std::streamsize>(len * 4));
+  edit(cols);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(cols.data()), static_cast<std::streamsize>(len * 4));
+  ASSERT_TRUE(f.good());
+}
+
+/// Streamed training over `dir` must fail with `what` + " in " + `victim`.
+void expect_corrupt_block_error(const std::string& dir, const std::string& victim,
+                                const std::string& what) {
+  try {
+    core::train_plexus_streaming(dir, single_rank_options());
+    FAIL() << "corrupt block accepted: " << what;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what + " in " + victim), std::string::npos)
+        << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(Streaming, CorruptColumnIndexThrowsCleanly) {
+  const auto ds = make_dataset(2048);
+  // Past the block's last column, inside the window's column range.
+  {
+    const auto dir = write_shards(ds, "column_range");
+    const auto victim = dir + "/adj_0_0.plx";
+    rewrite_first_long_row(victim, [](std::vector<std::int32_t>& cols) {
+      cols.back() = static_cast<std::int32_t>(2048 / 4);  // == the block's cols
+    });
+    expect_corrupt_block_error(dir, victim, "corrupt column index");
+    fs::remove_all(dir);
+  }
+  // Two columns swapped: a row that is no longer strictly increasing.
+  {
+    const auto dir = write_shards(ds, "column_order");
+    const auto victim = dir + "/adj_0_0.plx";
+    rewrite_first_long_row(victim,
+                           [](std::vector<std::int32_t>& cols) { std::swap(cols[0], cols[1]); });
+    expect_corrupt_block_error(dir, victim, "corrupt column index");
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Streaming, CorruptRowPointerThrowsCleanly) {
+  const auto ds = make_dataset(2048);
+  const auto dir = write_shards(ds, "row_ptr");
+  // row_ptr[1] (just past the 48-byte header and row_ptr[0]) pushed beyond
+  // nnz: row 0 would read past the column array.
+  const auto victim = dir + "/adj_0_0.plx";
+  {
+    std::FILE* f = std::fopen(victim.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::int64_t nnz = 0;
+    std::fseek(f, 40, SEEK_SET);
+    ASSERT_EQ(std::fread(&nnz, sizeof(nnz), 1, f), 1u);
+    const std::int64_t bogus = nnz + 5;
+    std::fseek(f, 56, SEEK_SET);
+    std::fwrite(&bogus, sizeof(bogus), 1, f);
+    std::fclose(f);
+  }
+  expect_corrupt_block_error(dir, victim, "corrupt row pointer");
   fs::remove_all(dir);
 }
