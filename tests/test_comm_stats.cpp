@@ -223,3 +223,131 @@ TEST(CommStats, OneMemberBf16AllReduceStillRoundsThroughTheWire) {
   EXPECT_EQ(e.calls, 1);
   EXPECT_EQ(e.bytes, static_cast<std::int64_t>(buf.size() * sizeof(std::uint16_t)));
 }
+
+namespace {
+
+/// One rank's accounting after an exchange: its stats and its clock.
+struct RankAccount {
+  pc::CommStats stats;
+  double clock = 0.0;
+};
+
+/// Run `body(comm, rank)` on a clocked 3-rank group {0, 1, 2} (10 GB/s,
+/// 1 us). Rank r first charges (r + 1) us of compute, so the members post at
+/// different clocks and the completion instant follows the latest poster.
+std::vector<RankAccount> three_rank_exchange(
+    pc::WirePrecision wire, const std::function<void(pc::Communicator&, pc::GroupId, int)>& body) {
+  pc::LinkParams link;
+  link.bandwidth = 10e9;
+  link.latency = 1e-6;
+  pc::World world(3);
+  const pc::GroupId g = world.create_group({0, 1, 2}, link);
+  std::vector<RankAccount> out(3);
+  spmd(3, [&](int rank) {
+    pc::SimClock clock;
+    pc::Communicator comm(world, rank, &clock);
+    comm.set_wire_precision(wire);
+    comm.charge_compute(1e-6 * static_cast<double>(rank + 1));
+    body(comm, g, rank);
+    out[static_cast<std::size_t>(rank)] = {comm.stats(), clock.time()};
+  });
+  return out;
+}
+
+/// Flat all-to-all-v element count from rank `src` to rank `dst`: unequal
+/// per-rank send totals (2, 12 and 20 elements), rank 2 the straggler.
+std::int64_t flat_count(int src, int dst) { return (src * 3 + 1) * (dst + 1) / 2; }
+
+/// Every rank must report the same AllToAll entry and clock. The figures the
+/// callers pass were recorded on the design that ran the group protocol
+/// inline in the Communicator; `bytes` is the straggler's total send volume.
+void expect_all_to_all(const std::vector<RankAccount>& accts, std::int64_t bytes,
+                       std::int64_t wire, double clock, const char* what) {
+  for (std::size_t r = 0; r < accts.size(); ++r) {
+    const auto& e = accts[r].stats.entry(pc::Collective::AllToAll);
+    EXPECT_EQ(e.calls, 1) << what << " rank " << r;
+    EXPECT_EQ(e.bytes, bytes) << what << " rank " << r;
+    EXPECT_EQ(e.wire_bytes, wire) << what << " rank " << r;
+    EXPECT_EQ(accts[r].stats.total_bytes(), bytes) << what << " rank " << r;
+    EXPECT_EQ(accts[r].clock, clock) << what << " rank " << r;
+  }
+}
+
+/// The flat exchange of flat_count's fp32 payloads on the `wire` format.
+/// Rank m sends the value m + 1, which is bf16-exact.
+std::vector<RankAccount> flat_exchange(pc::WirePrecision wire) {
+  return three_rank_exchange(wire, [](pc::Communicator& comm, pc::GroupId g, int rank) {
+    std::vector<std::int64_t> scnt(3), rcnt(3);
+    std::int64_t stot = 0, rtot = 0;
+    for (int m = 0; m < 3; ++m) {
+      scnt[static_cast<std::size_t>(m)] = flat_count(rank, m);
+      rcnt[static_cast<std::size_t>(m)] = flat_count(m, rank);
+      stot += scnt[static_cast<std::size_t>(m)];
+      rtot += rcnt[static_cast<std::size_t>(m)];
+    }
+    std::vector<float> send(static_cast<std::size_t>(stot), 1.0f + static_cast<float>(rank));
+    std::vector<float> recv(static_cast<std::size_t>(rtot));
+    comm.iall_to_all_v<float>(g, send, scnt.data(), recv, rcnt.data()).wait();
+    std::size_t off = 0;
+    for (int m = 0; m < 3; ++m) {
+      for (std::int64_t i = 0; i < rcnt[static_cast<std::size_t>(m)]; ++i, ++off) {
+        EXPECT_EQ(recv[off], 1.0f + static_cast<float>(m));
+      }
+    }
+  });
+}
+
+}  // namespace
+
+TEST(CommStats, FlatAllToAllVChargesTheStragglersVolume) {
+  // 20 elements from rank 2: 80 bytes at fp32, 40 on the bf16 wire.
+  expect_all_to_all(flat_exchange(pc::WirePrecision::Fp32), 80, 53, 0x1.4fe6f8cdb75e2p-18,
+                    "fp32");
+  expect_all_to_all(flat_exchange(pc::WirePrecision::Bf16), 40, 26, 0x1.4fb928adf6f6ap-18,
+                    "bf16");
+}
+
+TEST(CommStats, NestedAllToAllVChargesTheStragglersVolume) {
+  // int64 payloads always travel at full width: 20 * 8 = 160 bytes, also on
+  // a bf16 wire.
+  for (const auto wire : {pc::WirePrecision::Fp32, pc::WirePrecision::Bf16}) {
+    const auto accts = three_rank_exchange(wire, [](pc::Communicator& comm, pc::GroupId g,
+                                                    int rank) {
+      std::vector<std::vector<std::int64_t>> send(3), recv;
+      for (int m = 0; m < 3; ++m) {
+        send[static_cast<std::size_t>(m)].assign(static_cast<std::size_t>(flat_count(rank, m)),
+                                                 rank * 10 + m);
+      }
+      comm.all_to_all_v<std::int64_t>(g, send, recv);
+      ASSERT_EQ(recv.size(), 3u);
+      for (int m = 0; m < 3; ++m) {
+        EXPECT_EQ(recv[static_cast<std::size_t>(m)],
+                  std::vector<std::int64_t>(static_cast<std::size_t>(flat_count(m, rank)),
+                                            m * 10 + rank));
+      }
+    });
+    expect_all_to_all(accts, 160, 106, 0x1.5042990d382d5p-18, pc::wire_precision_name(wire));
+  }
+}
+
+TEST(CommStats, ScalarReductionsAreLatencyOnlyAllReduces) {
+  // Each scalar reduction is one 8-byte all-reduce; the sum folds
+  // 0.0 + v_0 + v_1 + v_2 in member order.
+  std::vector<double> maxes(3), sums(3);
+  const auto accts = three_rank_exchange(pc::WirePrecision::Bf16, [&](pc::Communicator& comm,
+                                                                       pc::GroupId g, int rank) {
+    const double v = 0.1 * static_cast<double>(rank + 1);
+    maxes[static_cast<std::size_t>(rank)] = comm.all_reduce_max_scalar(g, v);
+    sums[static_cast<std::size_t>(rank)] = comm.all_reduce_sum_scalar(g, v);
+  });
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(maxes[r], 0x1.3333333333334p-2) << "rank " << r;
+    EXPECT_EQ(sums[r], 0x1.3333333333334p-1) << "rank " << r;
+    const auto& e = accts[r].stats.entry(pc::Collective::AllReduce);
+    EXPECT_EQ(e.calls, 2) << "rank " << r;
+    EXPECT_EQ(e.bytes, 16) << "rank " << r;
+    EXPECT_EQ(e.wire_bytes, 20) << "rank " << r;
+    EXPECT_EQ(accts[r].stats.total_bytes(), 16) << "rank " << r;
+    EXPECT_EQ(accts[r].clock, 0x1.712b9b0f88f9fp-17) << "rank " << r;
+  }
+}

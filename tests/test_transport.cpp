@@ -5,9 +5,12 @@
 // output stream must match bit for bit a stream computed here without any
 // transport: concatenation, a float left-fold in canonical member order
 // (member 0, 1, …, G-1 — the order every backend, MPI included, must use),
-// the root's copy, the chunk transpose and the packed v-chunks. Plus the
-// topology-aware channel routing (line-family keys) and the backend
-// registry.
+// the root's copy, the chunk transpose and the packed v-chunks. The schedule
+// runs under both wire formats: under bf16 the reference rounds every input
+// to bf16 (round to nearest even), folds the rounded contributions in fp32
+// and carries the rounded values through every copy, the broadcast root's
+// own buffer included. Plus the topology-aware channel routing (line-family
+// keys) and the backend registry.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -22,6 +25,7 @@
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace pc = plexus::comm;
 namespace pcore = plexus::core;
@@ -75,16 +79,24 @@ float bc_input(int gid, int rank, bool is_root, std::size_t i) {
   return payload_value(gid, 3, is_root ? 999 : rank, i);
 }
 
-/// Run the conformance schedule under the Sim backend; returns each rank's
-/// concatenated result stream (every output buffer of every collective, in
-/// schedule order).
-Streams run_schedule() {
+/// The value a payload element carries across the wire: itself under fp32,
+/// its round-to-nearest-even bf16 image under bf16.
+float on_wire(pc::WirePrecision wire, float v) {
+  if (wire == pc::WirePrecision::Fp32) return v;
+  return plexus::simd::f32_from_bf16(plexus::simd::bf16_from_f32(v));
+}
+
+/// Run the conformance schedule under the Sim backend with fp32 payloads on
+/// the `wire` format; returns each rank's concatenated result stream (every
+/// output buffer of every collective, in schedule order).
+Streams run_schedule(pc::WirePrecision wire) {
   pc::ScopedBackend scoped(pc::Backend::Sim);
   pc::World world(8);
   const auto gids = create_conformance_groups(world);
   Streams out(8);
   psim::run_cluster(world, psim::Machine::test_machine(), [&](psim::RankContext& ctx) {
     auto& sink = out[static_cast<std::size_t>(ctx.rank())];
+    ctx.comm.set_wire_precision(wire);
     for (const pc::GroupId gid : gids) {
       auto& g = ctx.comm.world().group(gid);
       bool member = false;
@@ -150,7 +162,7 @@ Streams run_schedule() {
 
 /// The serial reference of run_schedule: each rank's expected stream,
 /// computed from the payload formulas alone.
-Streams expected_schedule() {
+Streams expected_schedule(pc::WirePrecision wire) {
   pc::World world(8);
   const auto gids = create_conformance_groups(world);
   Streams out(8);
@@ -165,16 +177,18 @@ Streams expected_schedule() {
       const int pos = g.position_of(rank);
       const std::size_t n = chunk_len(gid);
       const auto who = [&](int m) { return g.members[static_cast<std::size_t>(m)]; };
-      /// Left-fold of element i of every member's input, in member order.
+      const auto w = [&](float v) { return on_wire(wire, v); };
+      /// Left-fold of element i of every member's wire value, in member
+      /// order: member 0 widened, then members 1..G-1 added in fp32.
       const auto fold = [&](auto&& input, std::size_t i) {
-        float acc = input(who(0), i);
-        for (int m = 1; m < G; ++m) acc += input(who(m), i);
+        float acc = w(input(who(0), i));
+        for (int m = 1; m < G; ++m) acc += w(input(who(m), i));
         return acc;
       };
 
       // all-gather: the members' chunks concatenated in member order.
       for (int m = 0; m < G; ++m) {
-        for (std::size_t i = 0; i < n; ++i) sink.push_back(payload_value(gid, 0, who(m), i));
+        for (std::size_t i = 0; i < n; ++i) sink.push_back(w(payload_value(gid, 0, who(m), i)));
       }
       // reduce-scatter: my chunk of every member's input, folded.
       for (std::size_t i = 0; i < n; ++i) {
@@ -188,13 +202,14 @@ Streams expected_schedule() {
       // broadcast from every root: the root's buffer on every member.
       for (int root = 0; root < G; ++root) {
         for (std::size_t i = 0; i < n + 1; ++i) {
-          sink.push_back(bc_input(gid, who(root), /*is_root=*/true, i));
+          sink.push_back(w(bc_input(gid, who(root), /*is_root=*/true, i)));
         }
       }
       // all-to-all: chunk m is member m's chunk addressed to my position.
       for (int m = 0; m < G; ++m) {
         for (std::size_t i = 0; i < n; ++i) {
-          sink.push_back(payload_value(gid, 4, who(m), static_cast<std::size_t>(pos) * n + i));
+          sink.push_back(
+              w(payload_value(gid, 4, who(m), static_cast<std::size_t>(pos) * n + i)));
         }
       }
       // flat all-to-all-v: from each member m in order, its v-chunk for my
@@ -203,7 +218,7 @@ Streams expected_schedule() {
         std::int64_t off = 0;
         for (int j = 0; j < pos; ++j) off += pair_count(gid, m, j);
         for (std::int64_t i = 0; i < pair_count(gid, m, pos); ++i) {
-          sink.push_back(payload_value(gid, 5, who(m), static_cast<std::size_t>(off + i)));
+          sink.push_back(w(payload_value(gid, 5, who(m), static_cast<std::size_t>(off + i))));
         }
       }
     }
@@ -230,18 +245,31 @@ void expect_streams_bitwise_equal(const Streams& got, const Streams& want,
 
 }  // namespace
 
+constexpr pc::WirePrecision kWires[] = {pc::WirePrecision::Fp32, pc::WirePrecision::Bf16};
+
 TEST(TransportConformance, SimPayloadsBitwiseEqualSerialReference) {
-  expect_streams_bitwise_equal(run_schedule(), expected_schedule(), "default budget");
+  for (const auto wire : kWires) {
+    expect_streams_bitwise_equal(run_schedule(wire), expected_schedule(wire),
+                                 std::string("default budget, ") + pc::wire_precision_name(wire));
+  }
+  // The payloads are not bf16-exact, so the bf16 reference must round some
+  // of them; otherwise the bf16 run would prove nothing.
+  EXPECT_NE(expected_schedule(pc::WirePrecision::Fp32),
+            expected_schedule(pc::WirePrecision::Bf16));
 }
 
 TEST(TransportConformance, SimMatchesSerialReferenceUnderEveryChannelBudget) {
   // The flat all-to-all-v synchronises with an extra barrier round; every
   // collective must stay correct inline (budget 0), on one FIFO channel, and
   // on per-group channels.
-  const auto want = expected_schedule();
-  for (const int budget : {0, 1, 2, 4}) {
-    pc::ScopedCommThreads scoped(budget);
-    expect_streams_bitwise_equal(run_schedule(), want, "budget " + std::to_string(budget));
+  for (const auto wire : kWires) {
+    const auto want = expected_schedule(wire);
+    for (const int budget : {0, 1, 2, 4}) {
+      pc::ScopedCommThreads scoped(budget);
+      expect_streams_bitwise_equal(run_schedule(wire), want,
+                                   "budget " + std::to_string(budget) + ", " +
+                                       pc::wire_precision_name(wire));
+    }
   }
 }
 
