@@ -582,47 +582,6 @@ class Communicator {
     post_collective(a, static_cast<std::int64_t>(buf.size() * sizeof(T))).wait();
   }
 
-  /// Equal-chunk all-to-all: member m receives chunk `pos` of member m's `in`
-  /// ... i.e. out[m*chunk ..] = in_m[pos*chunk ..].
-  template <typename T>
-  void all_to_all(GroupId gid, std::span<const T> in, std::span<T> out) {
-    auto& g = world_->group(gid);
-    PLEXUS_CHECK(in.size() == out.size(), "all_to_all: sizes must match");
-    PLEXUS_CHECK(in.size() % static_cast<std::size_t>(g.size()) == 0, "all_to_all: chunking");
-    CollArgs a;
-    a.kind = Collective::AllToAll;
-    a.gid = gid;
-    a.send = in.data();
-    a.recv = out.data();
-    a.elem = sizeof(T);
-    a.count = in.size() / static_cast<std::size_t>(g.size());
-    a.dtype = dtype_of<T>();
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        a.elem = sizeof(std::uint16_t);
-        auto ws = std::make_shared<std::vector<std::uint16_t>>();
-        auto wr = std::make_shared<std::vector<std::uint16_t>>();
-        const float* src = in.data();
-        const std::size_t sn = in.size();
-        post_wire_op(
-            a, static_cast<std::int64_t>(in.size() * sizeof(std::uint16_t)),
-            [ws, wr, src, sn, rn = out.size()](CollArgs& aw) {
-              ws->resize(sn);
-              simd::bf16_pack(src, ws->data(), static_cast<std::int64_t>(sn));
-              wr->resize(rn);
-              aw.send = ws->data();
-              aw.recv = wr->data();
-            },
-            [wr, out] {
-              simd::bf16_unpack(wr->data(), out.data(), static_cast<std::int64_t>(out.size()));
-            })
-            .wait();
-        return;
-      }
-    }
-    post_collective(a, static_cast<std::int64_t>(in.size() * sizeof(T))).wait();
-  }
-
   /// Variable all-to-all: `send[m]` goes to member m; `recv[m]` receives from
   /// member m (resized by the call). Cost is charged on the maximum per-rank
   /// send volume (the straggler determines the exchange time).

@@ -120,21 +120,9 @@ class SimTransport final : public Transport {
         }
         return;
       }
-      case Collective::AllToAll: {
-        if (a.send_counts != nullptr) {
-          flat_alltoallv_move(g, a);
-          return;
-        }
-        if (nb == 0) return;
-        auto* dst = static_cast<unsigned char*>(a.recv);
-        for (int m = 0; m < g.size(); ++m) {
-          const auto* src =
-              static_cast<const unsigned char*>(g.slots[static_cast<std::size_t>(m)]) +
-              static_cast<std::size_t>(a.pos) * nb;
-          std::memcpy(dst + static_cast<std::size_t>(m) * nb, src, nb);
-        }
+      case Collective::AllToAll:
+        flat_alltoallv_move(g, a);
         return;
-      }
       case Collective::Barrier:
       case Collective::Send:
         return;

@@ -5,8 +5,8 @@
 // One process per rank. Every process derives the full schedule — group
 // shapes, payloads, expected results — deterministically from (group,
 // collective, member), so each collective's output is checked locally with
-// no reference process. Copies (all-gather / broadcast / all-to-all /
-// all_to_all_v) must match exactly; reductions must too, because the MPI
+// no reference process. Copies (all-gather / broadcast / both variable
+// all-to-alls) must match exactly; reductions must too, because the MPI
 // transport never uses MPI_SUM (implementation-defined order) — it gathers
 // every contribution and folds in canonical member order 0..G-1, exactly
 // like the in-process Sim backend. The CommHandle lifecycle (post / test /
@@ -120,19 +120,6 @@ void run_group(pc::Communicator& comm, pc::GroupId gid) {
     }
   }
 
-  // equal-chunk all-to-all: exact.
-  std::vector<float> aa_in(n * static_cast<std::size_t>(G)),
-      aa_out(n * static_cast<std::size_t>(G));
-  for (std::size_t i = 0; i < aa_in.size(); ++i) aa_in[i] = payload(gid, 4, g_rank, i);
-  comm.all_to_all<float>(gid, aa_in, aa_out);
-  for (int m = 0; m < G; ++m) {
-    for (std::size_t i = 0; i < n; ++i) {
-      expect(aa_out[static_cast<std::size_t>(m) * n + i] ==
-                 payload(gid, 4, g.members[m], static_cast<std::size_t>(pos) * n + i),
-             "all_to_all gid=" + std::to_string(gid));
-    }
-  }
-
   // variable all-to-all: member p sends (p + 1) copies of a marker to each
   // member; exact.
   std::vector<std::vector<float>> send(static_cast<std::size_t>(G));
@@ -196,7 +183,6 @@ void run_group(pc::Communicator& comm, pc::GroupId gid) {
     comm.all_reduce_sum<float>(gid, {});
     comm.reduce_scatter_sum<float>(gid, {}, {});
     comm.broadcast<float>(gid, {}, /*root=*/0);
-    comm.all_to_all<float>(gid, {}, {});
     std::vector<std::int64_t> zeros(static_cast<std::size_t>(G), 0);
     comm.iall_to_all_v<float>(gid, {}, zeros.data(), {}, zeros.data()).wait();
     // A live round after the degenerate ones proves the communicator survived.

@@ -99,21 +99,6 @@ TEST_P(GroupSizes, BroadcastFromEveryRoot) {
   });
 }
 
-TEST_P(GroupSizes, AllToAllTransposesChunks) {
-  const int g = GetParam();
-  spmd(g, [g](psim::RankContext& ctx) {
-    std::vector<float> in(static_cast<std::size_t>(g));
-    for (int m = 0; m < g; ++m) {
-      in[static_cast<std::size_t>(m)] = static_cast<float>(ctx.rank() * 100 + m);
-    }
-    std::vector<float> out(static_cast<std::size_t>(g));
-    ctx.comm.all_to_all<float>(ctx.comm.world().world_group(), in, out);
-    for (int m = 0; m < g; ++m) {
-      EXPECT_EQ(out[static_cast<std::size_t>(m)], static_cast<float>(m * 100 + ctx.rank()));
-    }
-  });
-}
-
 TEST_P(GroupSizes, AllToAllV) {
   const int g = GetParam();
   spmd(g, [g](psim::RankContext& ctx) {

@@ -5,7 +5,7 @@
 // output stream must match bit for bit a stream computed here without any
 // transport: concatenation, a float left-fold in canonical member order
 // (member 0, 1, …, G-1 — the order every backend, MPI included, must use),
-// the root's copy, the chunk transpose and the packed v-chunks. The schedule
+// the root's copy and the packed v-chunks. The schedule
 // runs under both wire formats: under bf16 the reference rounds every input
 // to bf16 (round to nearest even), folds the rounded contributions in fp32
 // and carries the rounded values through every copy, the broadcast root's
@@ -130,14 +130,6 @@ Streams run_schedule(pc::WirePrecision wire) {
         sink.insert(sink.end(), bc.begin(), bc.end());
       }
 
-      std::vector<float> a2a_in(n * static_cast<std::size_t>(G)),
-          a2a_out(n * static_cast<std::size_t>(G));
-      for (std::size_t i = 0; i < a2a_in.size(); ++i) {
-        a2a_in[i] = payload_value(gid, 4, ctx.rank(), i);
-      }
-      ctx.comm.all_to_all<float>(gid, a2a_in, a2a_out);
-      sink.insert(sink.end(), a2a_out.begin(), a2a_out.end());
-
       // Flat variable all-to-all (the sparse-aggregation exchange).
       std::vector<std::int64_t> scnt(static_cast<std::size_t>(G)),
           rcnt(static_cast<std::size_t>(G));
@@ -203,13 +195,6 @@ Streams expected_schedule(pc::WirePrecision wire) {
       for (int root = 0; root < G; ++root) {
         for (std::size_t i = 0; i < n + 1; ++i) {
           sink.push_back(w(bc_input(gid, who(root), /*is_root=*/true, i)));
-        }
-      }
-      // all-to-all: chunk m is member m's chunk addressed to my position.
-      for (int m = 0; m < G; ++m) {
-        for (std::size_t i = 0; i < n; ++i) {
-          sink.push_back(
-              w(payload_value(gid, 4, who(m), static_cast<std::size_t>(pos) * n + i)));
         }
       }
       // flat all-to-all-v: from each member m in order, its v-chunk for my
@@ -360,7 +345,6 @@ TEST(TransportConformance, ZeroSizedPayloadsAreSafe) {
     ctx.comm.all_reduce_sum<float>(gid, {});
     ctx.comm.reduce_scatter_sum<float>(gid, {}, {});
     ctx.comm.broadcast<float>(gid, {}, /*root=*/2);
-    ctx.comm.all_to_all<float>(gid, {}, {});
     const std::int64_t zeros[4] = {0, 0, 0, 0};
     ctx.comm.iall_to_all_v<float>(gid, {}, zeros, {}, zeros).wait();
     // A live round after the degenerate ones proves the group survived.
