@@ -9,13 +9,16 @@
 /// cost model (comm/cost.hpp) with the group's effective link parameters.
 ///
 /// The communicator is the **cost / accounting layer**. *How the payload
-/// bytes travel* is delegated to a `Transport` (comm/transport.hpp): the Sim
-/// backend reads peers' published buffers directly between the rank
-/// threads, and the optional MPI backend maps each op onto a nonblocking MPI
-/// request on a per-group sub-communicator. Everything in this file —
-/// post-time clocks, link-busy horizons, exposed/hidden attribution, stats,
-/// timeline — is backend-invariant: clocks, stats and losses are
-/// bitwise-identical under Sim and MPI.
+/// bytes travel* is delegated to a `Transport` (comm/transport.hpp): every
+/// entry point builds a `CollArgs`, posts one op, and the op's body calls
+/// `Transport::execute` (the nested `all_to_all_v` calls
+/// `Transport::alltoallv`). The Sim backend runs the in-process group
+/// protocol between the rank threads; the optional MPI backend maps each op
+/// onto a nonblocking MPI request on a per-group sub-communicator. The one
+/// thing this layer adds on the way is the bf16 wire staging of fp32
+/// payloads (post_collective). Everything in this file — post-time clocks,
+/// exposed/hidden attribution, stats, timeline — is backend-invariant:
+/// clocks, stats and losses are bitwise-identical under Sim and MPI.
 ///
 /// ## Nonblocking execution model
 ///
@@ -29,20 +32,6 @@
 /// different channels execute concurrently in real time — the sim-time math
 /// below never depended on execution order, so clocks, stats and data are
 /// bitwise-identical for any channel count.
-///
-/// Synchronisation protocol per op (executed on the op's channel thread):
-///   1. publish: write own buffer pointer + *post-time* clock into the
-///      group's slots; snapshot the group's link-busy horizon
-///   2. barrier
-///   3. read phase: read *other members'* published buffers; private writes
-///      ok; derive the op's sim completion instant (below)
-///   4. barrier
-///   5. write phase: writes to own published buffer (if in-place op)
-/// The trailing writes are ordered before any subsequent op's reads by that
-/// op's first barrier (std::barrier has acquire/release semantics), so
-/// back-to-back collectives on a group are race-free. All mutable shared
-/// state of the protocol lives in the op's own GroupShared, so collectives on
-/// different groups may execute concurrently without synchronisation.
 ///
 /// ## Exposed vs hidden time
 ///
@@ -131,40 +120,6 @@ struct CommStats {
 
 namespace detail {
 
-/// Publish this member's buffer + post-time clock; returns the link-busy
-/// horizon snapshot. Safe before the first barrier: the previous op's
-/// horizon write happened in its read phase, sealed by its second barrier.
-inline double publish(GroupShared& g, int pos, const void* ptr, double posted_clock) {
-  PLEXUS_CHECK(g.clock_slots.size() >= 2 * static_cast<std::size_t>(g.size()),
-               "group clock_slots under-sized");
-  const double floor = g.link_busy_until;
-  g.slots[static_cast<std::size_t>(pos)] = ptr;
-  g.clock_slots[static_cast<std::size_t>(pos)] = posted_clock;
-  return floor;
-}
-
-/// Scalar-exchange slot for member `pos`: the second half of clock_slots
-/// (World::create_group sizes it to 2 * members).
-inline double& aux_value(GroupShared& g, int pos) {
-  return g.clock_slots[static_cast<std::size_t>(g.size() + pos)];
-}
-
-/// Derive the op's completion instant from the members' post clocks, the
-/// link-busy snapshot and the cost model. Must run in the read phase (between
-/// the barriers); every member computes the same value, member 0 records it
-/// as the group's new link-busy horizon.
-inline void finish_read_phase(GroupShared& g, int pos, double busy_floor, CommOp& op) {
-  double start = busy_floor;
-  for (int m = 0; m < g.size(); ++m) {
-    start = std::max(start, g.clock_slots[static_cast<std::size_t>(m)]);
-  }
-  op.full_seconds =
-      collective_time(op.op, op.bytes, g.size(), g.link, g.a2a_distance_penalty);
-  op.wire_bytes = wire_bytes(op.op, op.bytes, g.size());
-  op.done_clock = start + op.full_seconds;
-  if (pos == 0) g.link_busy_until = op.done_clock;
-}
-
 /// Elementwise `acc[i] += src[i]` over `n` elements of T — the one reduction
 /// kernel every transport applies, in canonical member order (0, 1, …, G-1),
 /// so reductions are bitwise-identical across backends.
@@ -193,21 +148,16 @@ inline void accumulate_bf16_f32(void* acc, const void* src, std::size_t n) {
 
 class Communicator {
  public:
-  /// `clock` may be null (functional-only mode, no time simulation).
-  /// `transport` selects the byte-movement backend; null resolves
-  /// `transport_for(default_backend())` (the PLEXUS_BACKEND environment
-  /// variable, else Sim). A distributed (non-protocol) transport may carry a
-  /// clock only when it opts in via `Transport::supports_clock()` (the MPI
-  /// backend piggybacks the post-clock exchange on each collective); without
-  /// a clock, stats charge the cost-model time per op.
+  /// `clock` may be null (functional-only mode, no time simulation: stats
+  /// charge the cost-model time per op). `transport` selects the
+  /// byte-movement backend; null resolves `transport_for(default_backend())`
+  /// (the PLEXUS_BACKEND environment variable, else Sim).
   Communicator(World& world, int rank, SimClock* clock = nullptr,
                Transport* transport = nullptr)
       : world_(&world), rank_(rank), clock_(clock),
         transport_(transport != nullptr ? transport : &transport_for(default_backend())),
         wire_(default_wire_precision()), channel_budget_(comm_thread_budget()) {
     PLEXUS_CHECK(rank >= 0 && rank < world.size(), "rank out of range");
-    PLEXUS_CHECK(clock == nullptr || transport_->supports_clock(),
-                 "this transport cannot carry a SimClock");
   }
 
   /// Immovable: outstanding CommHandles point back at this object, so a move
@@ -220,8 +170,6 @@ class Communicator {
   /// (accounting starts from a clean slate).
   void set_clock(SimClock* clock) {
     PLEXUS_CHECK(!posted_any_, "set_clock: must precede the first collective");
-    PLEXUS_CHECK(clock == nullptr || transport_->supports_clock(),
-                 "this transport cannot carry a SimClock");
     clock_ = clock;
   }
 
@@ -283,29 +231,7 @@ class Communicator {
     a.count = inout.size();
     a.dtype = dtype_of<T>();
     a.accumulate = &detail::accumulate_sum<T>;
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        // Publish a bf16-packed copy of the contribution; every member folds
-        // the G wire chunks in canonical order into its own fp32 buffer, so
-        // the result is still group-uniform.
-        a.elem = sizeof(std::uint16_t);
-        a.acc_elem = sizeof(float);
-        a.assign = &detail::assign_bf16_f32;
-        a.accumulate = &detail::accumulate_bf16_f32;
-        auto wire = std::make_shared<std::vector<std::uint16_t>>();
-        const float* src = inout.data();
-        const std::size_t n = inout.size();
-        return post_wire_op(
-            a, static_cast<std::int64_t>(n * sizeof(std::uint16_t)),
-            [wire, src, n](CollArgs& aw) {
-              wire->resize(n);
-              simd::bf16_pack(src, wire->data(), static_cast<std::int64_t>(n));
-              aw.send = wire->data();
-            },
-            [] {});
-      }
-    }
-    return post_collective(a, static_cast<std::int64_t>(inout.size() * sizeof(T)));
+    return post_collective(a, inout.size());
   }
 
   /// out[i * chunk ..] = member i's `in`. `in.size()` must be equal across the
@@ -323,28 +249,7 @@ class Communicator {
     a.elem = sizeof(T);
     a.count = in.size();
     a.dtype = dtype_of<T>();
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        a.elem = sizeof(std::uint16_t);
-        auto ws = std::make_shared<std::vector<std::uint16_t>>();
-        auto wr = std::make_shared<std::vector<std::uint16_t>>();
-        const float* src = in.data();
-        const std::size_t sn = in.size();
-        return post_wire_op(
-            a, static_cast<std::int64_t>(out.size() * sizeof(std::uint16_t)),
-            [ws, wr, src, sn, rn = out.size()](CollArgs& aw) {
-              ws->resize(sn);
-              simd::bf16_pack(src, ws->data(), static_cast<std::int64_t>(sn));
-              wr->resize(rn);
-              aw.send = ws->data();
-              aw.recv = wr->data();
-            },
-            [wr, out] {
-              simd::bf16_unpack(wr->data(), out.data(), static_cast<std::int64_t>(out.size()));
-            });
-      }
-    }
-    return post_collective(a, static_cast<std::int64_t>(out.size() * sizeof(T)));
+    return post_collective(a, out.size());
   }
 
   /// Sum across the group, scattering chunk `pos` to member `pos`.
@@ -363,26 +268,7 @@ class Communicator {
     a.count = out.size();
     a.dtype = dtype_of<T>();
     a.accumulate = &detail::accumulate_sum<T>;
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        a.elem = sizeof(std::uint16_t);
-        a.acc_elem = sizeof(float);
-        a.assign = &detail::assign_bf16_f32;
-        a.accumulate = &detail::accumulate_bf16_f32;
-        auto wire = std::make_shared<std::vector<std::uint16_t>>();
-        const float* src = in.data();
-        const std::size_t sn = in.size();
-        return post_wire_op(
-            a, static_cast<std::int64_t>(in.size() * sizeof(std::uint16_t)),
-            [wire, src, sn](CollArgs& aw) {
-              wire->resize(sn);
-              simd::bf16_pack(src, wire->data(), static_cast<std::int64_t>(sn));
-              aw.send = wire->data();
-            },
-            [] {});
-      }
-    }
-    return post_collective(a, static_cast<std::int64_t>(in.size() * sizeof(T)));
+    return post_collective(a, in.size());
   }
 
   /// Flat variable all-to-all: `send` holds the payload packed by destination
@@ -402,7 +288,6 @@ class Communicator {
     CollArgs a;
     a.kind = Collective::AllToAll;
     a.gid = gid;
-    a.pos = g.position_of(rank_);
     a.send = send.data();
     a.recv = recv.data();
     a.elem = sizeof(T);
@@ -419,85 +304,7 @@ class Communicator {
                  "iall_to_all_v: send buffer does not match send_counts");
     PLEXUS_CHECK(recv.size() == static_cast<std::size_t>(recv_elems),
                  "iall_to_all_v: recv buffer does not match recv_counts");
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        // Same straggler protocol as below, but the packed chunks travel as
-        // bf16: the counts stay element counts, only `elem` (and therefore
-        // every displacement and the costed byte volume) narrows.
-        a.elem = sizeof(std::uint16_t);
-        const std::int64_t my_wire_bytes =
-            my_elems * static_cast<std::int64_t>(sizeof(std::uint16_t));
-        auto ws = std::make_shared<std::vector<std::uint16_t>>();
-        auto wr = std::make_shared<std::vector<std::uint16_t>>();
-        const float* sptr = send.data();
-        const std::size_t sn = send.size();
-        const std::span<float> out = recv;
-        std::function<void(CollArgs&)> setup = [ws, wr, sptr, sn,
-                                                rn = recv.size()](CollArgs& aw) {
-          ws->resize(sn);
-          simd::bf16_pack(sptr, ws->data(), static_cast<std::int64_t>(sn));
-          wr->resize(rn);
-          aw.send = ws->data();
-          aw.recv = wr->data();
-        };
-        std::function<void()> teardown = [wr, out] {
-          simd::bf16_unpack(wr->data(), out.data(), static_cast<std::int64_t>(out.size()));
-        };
-        Transport* t = transport_;
-        if (!t->uses_group_protocol()) {
-          return post_op(Collective::AllToAll, gid, my_wire_bytes,
-                         [&g, a, t, setup = std::move(setup),
-                          teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                           setup(a);
-                           t->execute(g, a, op);
-                           teardown();
-                         });
-        }
-        return post_op(Collective::AllToAll, gid, /*bytes=*/0,
-                       [&g, a, t, my_wire_bytes, setup = std::move(setup),
-                        teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                         setup(a);
-                         detail::aux_value(g, a.pos) = static_cast<double>(my_wire_bytes);
-                         const double floor =
-                             detail::publish(g, a.pos, a.send, op.posted_clock);
-                         g.barrier->arrive_and_wait();
-                         double max_bytes = 0.0;
-                         for (int m = 0; m < g.size(); ++m) {
-                           max_bytes = std::max(max_bytes, detail::aux_value(g, m));
-                         }
-                         op.bytes = static_cast<std::int64_t>(max_bytes);
-                         t->move(g, a);
-                         detail::finish_read_phase(g, a.pos, floor, op);
-                         g.barrier->arrive_and_wait();
-                         t->finalize(g, a);
-                         teardown();
-                       });
-      }
-    }
-    const std::int64_t my_bytes = my_elems * static_cast<std::int64_t>(sizeof(T));
-    Transport* t = transport_;
-    if (!t->uses_group_protocol()) {
-      return post_op(Collective::AllToAll, gid, my_bytes,
-                     [&g, a, t](detail::CommOp& op) { t->execute(g, a, op); });
-    }
-    // Same protocol shape as all_to_all_v: exchange the straggler's send
-    // volume through the aux slots so op.bytes (and thus the cost model) is
-    // group-uniform, then let the transport move the packed chunks.
-    return post_op(Collective::AllToAll, gid, /*bytes=*/0,
-                   [&g, a, t, my_bytes](detail::CommOp& op) {
-                     detail::aux_value(g, a.pos) = static_cast<double>(my_bytes);
-                     const double floor = detail::publish(g, a.pos, a.send, op.posted_clock);
-                     g.barrier->arrive_and_wait();
-                     double max_bytes = 0.0;
-                     for (int m = 0; m < g.size(); ++m) {
-                       max_bytes = std::max(max_bytes, detail::aux_value(g, m));
-                     }
-                     op.bytes = static_cast<std::int64_t>(max_bytes);
-                     t->move(g, a);
-                     detail::finish_read_phase(g, a.pos, floor, op);
-                     g.barrier->arrive_and_wait();
-                     t->finalize(g, a);
-                   });
+    return post_collective(a, send.size());
   }
 
   /// Run `fn` on the world group's channel, ordered with this rank's
@@ -552,34 +359,7 @@ class Communicator {
     a.count = buf.size();
     a.root = root_pos;
     a.dtype = dtype_of<T>();
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        // The root packs into the wire buffer; *every* member — the root
-        // included — widens the wire buffer back, so replicated state stays
-        // bitwise-identical across the group (a root that kept its exact
-        // fp32 copy would silently diverge from its peers).
-        a.elem = sizeof(std::uint16_t);
-        auto wire = std::make_shared<std::vector<std::uint16_t>>();
-        const std::span<float> out = buf;
-        post_wire_op(
-            a, static_cast<std::int64_t>(buf.size() * sizeof(std::uint16_t)),
-            [wire, out](CollArgs& aw) {
-              wire->resize(out.size());
-              if (aw.pos == aw.root) {
-                simd::bf16_pack(out.data(), wire->data(),
-                                static_cast<std::int64_t>(out.size()));
-              }
-              aw.recv = wire->data();
-            },
-            [wire, out] {
-              simd::bf16_unpack(wire->data(), out.data(),
-                                static_cast<std::int64_t>(out.size()));
-            })
-            .wait();
-        return;
-      }
-    }
-    post_collective(a, static_cast<std::int64_t>(buf.size() * sizeof(T))).wait();
+    post_collective(a, buf.size()).wait();
   }
 
   /// Variable all-to-all: `send[m]` goes to member m; `recv[m]` receives from
@@ -589,61 +369,34 @@ class Communicator {
   void all_to_all_v(GroupId gid, const std::vector<std::vector<T>>& send,
                     std::vector<std::vector<T>>& recv) {
     auto& g = world_->group(gid);
-    const int pos = g.position_of(rank_);
     PLEXUS_CHECK(send.size() == static_cast<std::size_t>(g.size()), "all_to_all_v: send size");
-    if (!transport_->uses_group_protocol()) {
-      // Distributed backends exchange flat byte buffers (the transport runs
-      // the count exchange + MPI_Ialltoallv); repack into the typed vectors.
-      std::vector<std::span<const unsigned char>> send_bytes(send.size());
-      for (std::size_t m = 0; m < send.size(); ++m) {
-        send_bytes[m] = {reinterpret_cast<const unsigned char*>(send[m].data()),
-                         send[m].size() * sizeof(T)};
-      }
-      std::vector<std::vector<unsigned char>> recv_bytes;
-      CollArgs a;
-      a.kind = Collective::AllToAll;
-      a.gid = gid;
-      a.pos = pos;
-      a.elem = sizeof(T);
-      Transport* t = transport_;
-      post_op(Collective::AllToAll, gid, /*bytes=*/0,
-              [&g, a, t, &send_bytes, &recv_bytes](detail::CommOp& op) {
-                t->alltoallv(g, a, send_bytes, recv_bytes, op);
-              })
-          .wait();  // blocking: the referenced buffers outlive the op
-      recv.assign(static_cast<std::size_t>(g.size()), {});
-      for (std::size_t m = 0; m < recv_bytes.size(); ++m) {
-        PLEXUS_CHECK(recv_bytes[m].size() % sizeof(T) == 0, "all_to_all_v: ragged payload");
-        recv[m].resize(recv_bytes[m].size() / sizeof(T));
-        if (!recv_bytes[m].empty()) {
-          std::memcpy(recv[m].data(), recv_bytes[m].data(), recv_bytes[m].size());
-        }
-      }
-      return;
+    // The transport exchanges byte spans (always full width, also on a
+    // compressed wire); repack into the typed vectors.
+    std::vector<std::span<const unsigned char>> send_bytes(send.size());
+    for (std::size_t m = 0; m < send.size(); ++m) {
+      send_bytes[m] = {reinterpret_cast<const unsigned char*>(send[m].data()),
+                       send[m].size() * sizeof(T)};
     }
-    recv.assign(static_cast<std::size_t>(g.size()), {});
-    std::int64_t my_bytes = 0;
-    for (const auto& s : send) my_bytes += static_cast<std::int64_t>(s.size() * sizeof(T));
-    const auto* send_ptr = &send;
-    auto* recv_ptr = &recv;
+    std::vector<std::vector<unsigned char>> recv_bytes;
+    CollArgs a;
+    a.kind = Collective::AllToAll;
+    a.gid = gid;
+    a.pos = g.position_of(rank_);
+    a.elem = sizeof(T);
+    Transport* t = transport_;
     post_op(Collective::AllToAll, gid, /*bytes=*/0,
-            [&g, pos, send_ptr, recv_ptr, my_bytes](detail::CommOp& op) {
-              detail::aux_value(g, pos) = static_cast<double>(my_bytes);
-              const double floor = detail::publish(g, pos, send_ptr, op.posted_clock);
-              g.barrier->arrive_and_wait();
-              double max_bytes = 0.0;
-              for (int m = 0; m < g.size(); ++m) {
-                const auto* their_send = static_cast<const std::vector<std::vector<T>>*>(
-                    g.slots[static_cast<std::size_t>(m)]);
-                (*recv_ptr)[static_cast<std::size_t>(m)] =
-                    (*their_send)[static_cast<std::size_t>(pos)];
-                max_bytes = std::max(max_bytes, detail::aux_value(g, m));
-              }
-              op.bytes = static_cast<std::int64_t>(max_bytes);
-              detail::finish_read_phase(g, pos, floor, op);
-              g.barrier->arrive_and_wait();
+            [&g, a, t, &send_bytes, &recv_bytes](detail::CommOp& op) {
+              t->alltoallv(g, a, send_bytes, recv_bytes, op);
             })
-        .wait();
+        .wait();  // blocking: the referenced buffers outlive the op
+    recv.assign(static_cast<std::size_t>(g.size()), {});
+    for (std::size_t m = 0; m < recv_bytes.size(); ++m) {
+      PLEXUS_CHECK(recv_bytes[m].size() % sizeof(T) == 0, "all_to_all_v: ragged payload");
+      recv[m].resize(recv_bytes[m].size() / sizeof(T));
+      if (!recv_bytes[m].empty()) {
+        std::memcpy(recv[m].data(), recv_bytes[m].data(), recv_bytes[m].size());
+      }
+    }
   }
 
   /// Max of a scalar across the group (costed as a latency-only reduction).
@@ -660,96 +413,85 @@ class Communicator {
   friend class CommHandle;
 
   double scalar_reduce(GroupId gid, double value, bool is_max) {
-    auto& g = world_->group(gid);
-    const int pos = g.position_of(rank_);
-    if (!transport_->uses_group_protocol()) {
-      CollArgs a;
-      a.kind = Collective::AllReduce;
-      a.gid = gid;
-      a.pos = pos;
-      a.scalar_op = true;
-      a.scalar_is_max = is_max;
-      a.scalar_value = value;
-      Transport* t = transport_;
-      return post_op(Collective::AllReduce, gid, 8,
-                     [&g, a, t](detail::CommOp& op) { t->execute(g, a, op); })
-          .wait();
-    }
-    return post_op(Collective::AllReduce, gid, 8, [&g, pos, value, is_max](detail::CommOp& op) {
-             detail::aux_value(g, pos) = value;
-             const double floor = detail::publish(g, pos, nullptr, op.posted_clock);
-             g.barrier->arrive_and_wait();
-             double acc = is_max ? value : 0.0;
-             for (int m = 0; m < g.size(); ++m) {
-               const double v = detail::aux_value(g, m);
-               acc = is_max ? std::max(acc, v) : acc + v;
-             }
-             op.scalar = acc;
-             detail::finish_read_phase(g, pos, floor, op);
-             g.barrier->arrive_and_wait();
-           })
-        .wait();
+    CollArgs a;
+    a.kind = Collective::AllReduce;
+    a.gid = gid;
+    a.elem = sizeof(double);  // costed as one double; no buffer (count 0)
+    a.scalar_op = true;
+    a.scalar_is_max = is_max;
+    a.scalar_value = value;
+    return post_collective(a, 1).wait();
   }
 
-  /// Route one data collective through the selected transport. For
-  /// in-process (protocol) transports the execute closure runs the shared
-  /// barrier protocol — publish clocks+buffer, transport movement, completion
-  /// derivation, trailing writes — so the accounting is transport-invariant.
-  /// Non-protocol transports own the whole op (they fill the completion
-  /// fields from the cost model themselves).
-  CommHandle post_collective(CollArgs a, std::int64_t bytes) {
+  /// Post one collective through the transport, costed at `costed` elements
+  /// of `a.elem` bytes. fp32 payloads on a bf16 wire are staged here, the
+  /// only place the wire format is applied: `elem` narrows to 2 bytes (so
+  /// the costed bytes halve), the reducing kinds fold the wire values into
+  /// fp32 accumulators (precision is lost once per contribution, never in
+  /// the sum), and by kind
+  ///   * reducing kinds pack the contribution; the fold writes the fp32
+  ///     result, so nothing is unpacked;
+  ///   * broadcast: the root packs, and *every* member — the root included
+  ///     — unpacks, so replicated state stays bitwise-identical across the
+  ///     group (a root that kept its exact fp32 copy would diverge);
+  ///   * copy kinds pack the send buffer and unpack the receive buffer.
+  /// The staging runs on the op's executing thread, so the pack overlaps
+  /// like the rest of the op, and its buffer lives in the op closure, so
+  /// handles can be waited from anywhere.
+  CommHandle post_collective(CollArgs a, std::size_t costed) {
     auto& g = world_->group(a.gid);
     a.pos = g.position_of(rank_);
     Transport* t = transport_;
-    if (!t->uses_group_protocol()) {
-      return post_op(a.kind, a.gid, bytes,
+    if (a.dtype != DType::F32 || wire_ != WirePrecision::Bf16) {
+      return post_op(a.kind, a.gid, static_cast<std::int64_t>(costed * a.elem),
                      [&g, a, t](detail::CommOp& op) { t->execute(g, a, op); });
     }
-    return post_op(a.kind, a.gid, bytes, [&g, a, t](detail::CommOp& op) {
-      const void* pub = a.send != nullptr ? a.send : static_cast<const void*>(a.recv);
-      const double floor = detail::publish(g, a.pos, pub, op.posted_clock);
-      g.barrier->arrive_and_wait();
-      t->move(g, a);
-      detail::finish_read_phase(g, a.pos, floor, op);
-      g.barrier->arrive_and_wait();
-      t->finalize(g, a);
-    });
-  }
-
-  /// post_collective for compressed-wire fp32 payloads. `setup` runs first
-  /// on the op's executing thread — it packs this rank's contribution into
-  /// staging owned by the closures and points the CollArgs at it, so the
-  /// pack overlaps like the rest of the op on a comm channel — and
-  /// `teardown` runs after the transport completes (widening received wire
-  /// data back into the caller's fp32 buffers). The staging lives inside
-  /// the op closure, so nonblocking handles can be waited from anywhere.
-  CommHandle post_wire_op(CollArgs a, std::int64_t bytes, std::function<void(CollArgs&)> setup,
-                          std::function<void()> teardown) {
-    auto& g = world_->group(a.gid);
-    a.pos = g.position_of(rank_);
-    Transport* t = transport_;
-    if (!t->uses_group_protocol()) {
-      return post_op(a.kind, a.gid, bytes,
-                     [&g, a, t, setup = std::move(setup),
-                      teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                       setup(a);
-                       t->execute(g, a, op);
-                       teardown();
-                     });
+    // fp32 elements this member packs onto / widens off the wire.
+    const auto G = static_cast<std::size_t>(g.size());
+    std::size_t send_n = 0, recv_n = 0;
+    switch (a.kind) {
+      case Collective::AllReduce: send_n = a.count; break;
+      case Collective::ReduceScatter: send_n = a.count * G; break;
+      case Collective::Broadcast: recv_n = a.count; break;
+      case Collective::AllGather: send_n = a.count; recv_n = a.count * G; break;
+      case Collective::AllToAll:
+        for (std::size_t m = 0; m < G; ++m) {
+          send_n += static_cast<std::size_t>(a.send_counts[m]);
+          recv_n += static_cast<std::size_t>(a.recv_counts[m]);
+        }
+        break;
+      case Collective::Barrier:
+      case Collective::Send: break;
     }
-    return post_op(a.kind, a.gid, bytes,
-                   [&g, a, t, setup = std::move(setup),
-                    teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                     setup(a);
-                     const void* pub =
-                         a.send != nullptr ? a.send : static_cast<const void*>(a.recv);
-                     const double floor = detail::publish(g, a.pos, pub, op.posted_clock);
-                     g.barrier->arrive_and_wait();
-                     t->move(g, a);
-                     detail::finish_read_phase(g, a.pos, floor, op);
-                     g.barrier->arrive_and_wait();
-                     t->finalize(g, a);
-                     teardown();
+    a.elem = sizeof(std::uint16_t);
+    if (a.accumulate != nullptr) {
+      a.acc_elem = sizeof(float);
+      a.assign = &detail::assign_bf16_f32;
+      a.accumulate = &detail::accumulate_bf16_f32;
+    }
+    auto wire = std::make_shared<std::vector<std::uint16_t>>();
+    return post_op(a.kind, a.gid, static_cast<std::int64_t>(costed * a.elem),
+                   [&g, a, t, send_n, recv_n, wire](detail::CommOp& op) {
+                     wire->resize(send_n + recv_n);
+                     std::uint16_t* ws = wire->data();
+                     std::uint16_t* wr = ws + send_n;
+                     CollArgs w = a;
+                     if (a.kind == Collective::Broadcast) {
+                       if (a.pos == a.root) {
+                         simd::bf16_pack(static_cast<const float*>(a.recv), wr,
+                                         static_cast<std::int64_t>(recv_n));
+                       }
+                     } else {
+                       // AllReduce contributes its in-place buffer.
+                       const void* src = a.send != nullptr ? a.send : a.recv;
+                       simd::bf16_pack(static_cast<const float*>(src), ws,
+                                       static_cast<std::int64_t>(send_n));
+                       w.send = ws;
+                     }
+                     if (recv_n > 0) w.recv = wr;
+                     t->execute(g, w, op);
+                     simd::bf16_unpack(wr, static_cast<float*>(a.recv),
+                                       static_cast<std::int64_t>(recv_n));
                    });
   }
 

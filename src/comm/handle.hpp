@@ -13,8 +13,8 @@
 /// rank's own three line groups always land on three distinct keys, so with
 /// a channel budget >= 3 they never collide on one channel, which the old
 /// plain `GroupId mod budget` routing could not guarantee. Ops on the same
-/// group always run strictly in post order — the per-group barrier protocol
-/// of communicator.hpp stays matched across ranks exactly as in the
+/// group always run strictly in post order — the Sim backend's per-group
+/// barrier protocol (transport.cpp) stays matched across ranks exactly as in the
 /// blocking-only design — while ops on groups mapped to *different* channels
 /// execute concurrently in real time (disjoint X-/Y-/Z-line collectives
 /// overlap on the wall clock the way the sim cost model already lets them
@@ -52,10 +52,10 @@ class Communicator;
 
 namespace detail {
 
-/// Shared state of one in-flight collective. The execute closure runs the full
-/// barrier protocol (publish / read phase / trailing writes) on the executing
-/// thread; completion fields are visible to the poster only after `finished`
-/// is observed through the mutex.
+/// Shared state of one in-flight collective. The execute closure runs the
+/// whole op through the Communicator's Transport on the executing thread;
+/// completion fields are visible to the poster only after `finished` is
+/// observed through the mutex.
 struct CommOp {
   std::function<void(CommOp&)> execute;
 
@@ -113,9 +113,9 @@ std::vector<unsigned char>& op_scratch();
 ///     snapshot, byte count, routing key) and enqueued it on its channel (or
 ///     ran it inline). The caller may compute freely; the buffers named in
 ///     the call belong to the op until it is waited or dropped.
-///  2. **in flight** — a channel thread is executing the op: for in-process
-///     transports, the group barrier protocol plus the transport's byte
-///     movement; for the MPI transport, the posted `MPI_I*` request being
+///  2. **in flight** — a channel thread is executing the op: for the Sim
+///     transport, the group barrier protocol and its byte movement; for the
+///     MPI transport, the posted `MPI_I*` request being
 ///     progressed to completion. `test()` polls this state without blocking
 ///     and never charges time.
 ///  3. **complete** — the executing thread published the completion fields

@@ -1,6 +1,8 @@
 #include "comm/transport.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -9,29 +11,71 @@
 
 namespace plexus::comm {
 
-void Transport::move(GroupShared&, const CollArgs&) {
-  PLEXUS_CHECK(false, "transport does not implement in-process movement");
-}
-
-void Transport::finalize(GroupShared&, const CollArgs&) {}
-
-void Transport::execute(GroupShared&, const CollArgs&, detail::CommOp&) {
-  PLEXUS_CHECK(false, "transport does not implement whole-op execution");
-}
-
-void Transport::alltoallv(GroupShared&, const CollArgs&,
-                          const std::vector<std::span<const unsigned char>>&,
-                          std::vector<std::vector<unsigned char>>&, detail::CommOp&) {
-  PLEXUS_CHECK(false, "transport does not implement all_to_all_v");
-}
-
 namespace {
 
-/// Flat variable all-to-all movement (CollArgs::send_counts != nullptr).
-/// Each member publishes its send_counts through `g.xfer_slots` (one extra
-/// barrier), then copies its chunk out of every source's packed send buffer
-/// in canonical member order. Zero-length chunks are skipped, never
-/// dereferenced, so empty send lists are safe.
+/// Publish this member's buffer + post-time clock; returns the link-busy
+/// horizon snapshot. Safe before the first barrier: the previous op's
+/// horizon write happened in its read phase, sealed by its second barrier.
+double publish(GroupShared& g, int pos, const void* ptr, double posted_clock) {
+  PLEXUS_CHECK(g.clock_slots.size() >= 2 * static_cast<std::size_t>(g.size()),
+               "group clock_slots under-sized");
+  const double floor = g.link_busy_until;
+  g.slots[static_cast<std::size_t>(pos)] = ptr;
+  g.clock_slots[static_cast<std::size_t>(pos)] = posted_clock;
+  return floor;
+}
+
+/// Scalar-exchange slot for member `pos`: the second half of clock_slots
+/// (World::create_group sizes it to 2 * members).
+double& aux_value(GroupShared& g, int pos) {
+  return g.clock_slots[static_cast<std::size_t>(g.size() + pos)];
+}
+
+/// The largest aux value of the group: the straggler's send volume of a
+/// variable all-to-all, which prices the whole exchange.
+std::int64_t straggler_bytes(GroupShared& g) {
+  double max_bytes = 0.0;
+  for (int m = 0; m < g.size(); ++m) max_bytes = std::max(max_bytes, aux_value(g, m));
+  return static_cast<std::int64_t>(max_bytes);
+}
+
+/// Derive the op's completion instant from the members' post clocks, the
+/// link-busy snapshot and the cost model. Must run in the read phase (between
+/// the barriers); every member computes the same value, member 0 records it
+/// as the group's new link-busy horizon.
+void finish_read_phase(GroupShared& g, int pos, double busy_floor, detail::CommOp& op) {
+  double start = busy_floor;
+  for (int m = 0; m < g.size(); ++m) {
+    start = std::max(start, g.clock_slots[static_cast<std::size_t>(m)]);
+  }
+  op.full_seconds =
+      collective_time(op.op, op.bytes, g.size(), g.link, g.a2a_distance_penalty);
+  op.wire_bytes = wire_bytes(op.op, op.bytes, g.size());
+  op.done_clock = start + op.full_seconds;
+  if (pos == 0) g.link_busy_until = op.done_clock;
+}
+
+/// One round of the group protocol: publish `pub`, this member's post clock
+/// and its `aux` value; barrier; `read_phase` (reads of the peers' published
+/// state, private writes); completion instant; barrier. Writes to published
+/// buffers belong after the call: the next op's first barrier orders them
+/// before any peer reads. All mutable protocol state lives in `g`, so
+/// collectives on different groups may run concurrently.
+template <typename ReadPhase>
+void run_protocol(GroupShared& g, int pos, const void* pub, double aux, detail::CommOp& op,
+                  ReadPhase&& read_phase) {
+  aux_value(g, pos) = aux;
+  const double floor = publish(g, pos, pub, op.posted_clock);
+  g.barrier->arrive_and_wait();
+  read_phase();
+  finish_read_phase(g, pos, floor, op);
+  g.barrier->arrive_and_wait();
+}
+
+/// Flat variable all-to-all movement. Each member publishes its send_counts
+/// through `g.xfer_slots` (one extra barrier), then copies its chunk out of
+/// every source's packed send buffer in canonical member order. Zero-length
+/// chunks are skipped, never dereferenced, so empty send lists are safe.
 void flat_alltoallv_move(GroupShared& g, const CollArgs& a) {
   const int G = g.size();
   // Publish my per-destination counts so every peer can locate its chunk
@@ -62,15 +106,58 @@ void flat_alltoallv_move(GroupShared& g, const CollArgs& a) {
   // before any member's next op republishes the slots.
 }
 
-/// The historic shared-slot movement: peers read each other's published
-/// buffers directly. Kept bit-for-bit identical to the pre-transport
-/// Communicator loops — same memcpy pattern, same canonical (member 0..G-1)
-/// float summation order — so every existing determinism test pins it.
+/// The in-process backend: every op runs the group protocol (run_protocol)
+/// and peers read each other's published buffers directly. Same memcpy
+/// pattern and canonical (member 0..G-1) float summation order as the
+/// original Communicator loops, so every determinism test pins it.
 class SimTransport final : public Transport {
  public:
   Backend backend() const override { return Backend::Sim; }
   const char* name() const override { return "sim"; }
 
+  /// Publishes `send` (else the in-place `recv`). The flat all-to-all-v
+  /// exchanges its send volume through the aux slots so `op.bytes` becomes
+  /// the straggler's, group-uniform; a scalar reduction exchanges its
+  /// operand there and folds it like MpiTransport does.
+  void execute(GroupShared& g, const CollArgs& a, detail::CommOp& op) override {
+    const double aux = a.scalar_op ? a.scalar_value : static_cast<double>(op.bytes);
+    const void* pub = a.send != nullptr ? a.send : static_cast<const void*>(a.recv);
+    run_protocol(g, a.pos, pub, aux, op, [&] {
+      if (a.kind == Collective::AllToAll) op.bytes = straggler_bytes(g);
+      if (a.scalar_op) {
+        double acc = a.scalar_is_max ? a.scalar_value : 0.0;
+        for (int m = 0; m < g.size(); ++m) {
+          const double v = aux_value(g, m);
+          acc = a.scalar_is_max ? std::max(acc, v) : acc + v;
+        }
+        op.scalar = acc;
+      }
+      move(g, a);
+    });
+    finalize(g, a);
+  }
+
+  /// Publishes the span vector itself; each member copies its chunk out of
+  /// every peer's `send[pos]`.
+  void alltoallv(GroupShared& g, const CollArgs& a,
+                 const std::vector<std::span<const unsigned char>>& send,
+                 std::vector<std::vector<unsigned char>>& recv,
+                 detail::CommOp& op) override {
+    std::size_t my_bytes = 0;
+    for (const auto& s : send) my_bytes += s.size();
+    recv.assign(static_cast<std::size_t>(g.size()), {});
+    run_protocol(g, a.pos, &send, static_cast<double>(my_bytes), op, [&] {
+      for (int m = 0; m < g.size(); ++m) {
+        const auto& theirs = *static_cast<const std::vector<std::span<const unsigned char>>*>(
+            g.slots[static_cast<std::size_t>(m)]);
+        const auto chunk = theirs[static_cast<std::size_t>(a.pos)];
+        recv[static_cast<std::size_t>(m)].assign(chunk.begin(), chunk.end());
+      }
+      op.bytes = straggler_bytes(g);
+    });
+  }
+
+ private:
   /// A one-member all-reduce of a plain payload (wire type == accumulator
   /// type, no `assign` hook) is the identity: the fold would copy the buffer
   /// to scratch and straight back. Skipping both copies preserves every bit;
@@ -80,7 +167,10 @@ class SimTransport final : public Transport {
     return g.size() == 1 && a.assign == nullptr;
   }
 
-  void move(GroupShared& g, const CollArgs& a) override {
+  /// Data movement of the read phase; `g.slots[m]` holds member m's
+  /// published buffer. May run extra `g.barrier` rounds (every member runs
+  /// the same schedule) and publish more pointers through `g.xfer_slots`.
+  static void move(GroupShared& g, const CollArgs& a) {
     const std::size_t nb = a.count * a.elem;  // per-member chunk in bytes
     switch (a.kind) {
       case Collective::AllGather: {
@@ -129,7 +219,9 @@ class SimTransport final : public Transport {
     }
   }
 
-  void finalize(GroupShared& g, const CollArgs& a) override {
+  /// Trailing writes to the member's own buffers, after the completion
+  /// barrier (the all-reduce copy-back from scratch).
+  static void finalize(GroupShared& g, const CollArgs& a) {
     if (a.kind != Collective::AllReduce) return;
     if (a.count * a.elem == 0 || one_member_identity(g, a)) return;
     // The in-place result: peers read the original buffer during the read

@@ -4,21 +4,30 @@
 ///
 /// The comm stack is split into two layers:
 ///
-///  * **cost / accounting** (communicator.hpp) — post-time clocks, the ring
-///    cost model, link-busy horizons, exposed-vs-hidden attribution,
-///    CommStats and the timeline. This layer is backend-invariant: simulated
-///    clocks, stats and losses are bitwise-identical for every transport.
+///  * **cost / accounting** (communicator.hpp) — post-time clocks,
+///    exposed-vs-hidden attribution, CommStats, the timeline and the bf16
+///    wire staging. This layer is backend-invariant: simulated clocks, stats
+///    and losses are bitwise-identical for every transport.
 ///  * **byte movement** (this file) — how the payload of a collective
-///    actually travels between ranks. Selected per Communicator via a
-///    `Transport`.
+///    actually travels between ranks, plus the completion instant each op
+///    derives from the members' post clocks, the group's link-busy horizon
+///    and the ring cost model. Selected per Communicator via a `Transport`.
 ///
-/// Two backends:
+/// The Communicator runs every collective the same way: it builds a
+/// `CollArgs`, posts one op, and the op's body calls `Transport::execute`
+/// (or `Transport::alltoallv` for the nested variable all-to-all). Each
+/// backend owns the whole op behind those two calls: moving the payload,
+/// exchanging the members' post clocks and deriving the completion instant
+/// from the cost model. Two backends:
 ///
-///  * `Backend::Sim` — the one in-process movement: every member publishes
-///    its buffer pointer and peers read it directly between the rank
-///    threads. Reductions fold contributions in canonical member order
-///    (member 0, 1, …, G-1). Sim is the reference every other backend is
-///    checked against bit for bit.
+///  * `Backend::Sim` — the one in-process movement, ranks as threads of one
+///    process. Each op runs the group protocol over the group's shared
+///    slots (world.hpp): publish the buffer pointer and post clock, barrier,
+///    read the peers' published buffers, derive the completion instant,
+///    barrier, then the trailing writes to the member's own buffers.
+///    Reductions fold contributions in canonical member order (member 0,
+///    1, …, G-1). Sim is the reference every other backend is checked
+///    against bit for bit.
 ///  * `Backend::Mpi` — optional, compiled behind the `PLEXUS_WITH_MPI` CMake
 ///    option: maps each CommHandle onto MPI collectives on a per-group
 ///    sub-communicator (`MPI_Comm_create_group` over the group's member
@@ -29,10 +38,10 @@
 ///    of {posted clock, payload bytes} on the collective, which is all the
 ///    completion math needs (see docs/COMM.md).
 ///
-/// The in-process transport implements `move()` (+ optional `finalize()`),
-/// which the Communicator runs inside the group's barrier protocol.
-/// Distributed transports set `uses_group_protocol() == false` and implement
-/// `execute()`, owning the whole collective.
+/// A compressed wire format never reaches a backend as such: the
+/// Communicator stages fp32 payloads into bf16 buffers and narrows
+/// `CollArgs::elem` before calling `execute`, so backends move opaque
+/// elements and fold them through the `CollArgs` hooks.
 
 #include <cstddef>
 #include <cstdint>
@@ -111,16 +120,17 @@ constexpr DType dtype_of() {
 /// | ReduceScatter | full input  | own chunk out | per-member chunk (out)  |
 /// | AllReduce     | nullptr     | in-place buf  | buffer elements         |
 /// | Broadcast     | nullptr     | in-place buf  | buffer elements         |
-/// | AllToAll      | full input  | full output   | per-member chunk        |
+/// | AllToAll      | packed input| packed output | unused (counts govern)  |
 /// | Barrier       | nullptr     | nullptr       | 0                       |
 ///
-/// A flat variable all-to-all (`iall_to_all_v`) is an AllToAll with
-/// `send_counts != nullptr`: `send` holds the payload packed by destination
-/// member (destination chunks in member order, `send_counts[m]` elements
-/// each), `recv` receives chunks packed by source member
-/// (`recv_counts[m]` elements from member m), and `count` is unused (the
-/// counts arrays govern). The counts must be globally consistent:
-/// `recv_counts[m]` here equals member m's `send_counts[my pos]`.
+/// An AllToAll passed to `execute` is the flat variable all-to-all
+/// (`iall_to_all_v`): `send` holds the payload packed by destination member
+/// (destination chunks in member order, `send_counts[m]` elements each),
+/// `recv` receives chunks packed by source member (`recv_counts[m]`
+/// elements from member m). The counts must be globally consistent:
+/// `recv_counts[m]` here equals member m's `send_counts[my pos]`. Its op is
+/// posted with this member's send volume in `op.bytes`; the backend replaces
+/// it with the group's maximum (the straggler prices the exchange).
 struct CollArgs {
   Collective kind = Collective::Barrier;
   GroupId gid = 0;  ///< the op's group (sub-communicator key for MPI)
@@ -133,7 +143,7 @@ struct CollArgs {
   DType dtype = DType::Bytes;
   /// Flat variable all-to-all (see table note above): per-destination /
   /// per-source element counts, each `group size` entries. Null for every
-  /// other collective shape.
+  /// other kind.
   const std::int64_t* send_counts = nullptr;
   const std::int64_t* recv_counts = nullptr;
   /// Typed accumulation `acc[i] += src[i]` over `n` elements; null for
@@ -154,9 +164,11 @@ struct CollArgs {
 
   /// Effective accumulator element size (see `acc_elem`).
   std::size_t accumulator_elem() const { return acc_elem != 0 ? acc_elem : elem; }
-  /// Scalar reductions (all_reduce_{max,sum}_scalar) for non-protocol
-  /// backends; the in-process backend exchanges scalars through the group's
-  /// clock-slot aux values instead.
+  /// Scalar reductions (all_reduce_{max,sum}_scalar): an AllReduce with
+  /// `count == 0` whose operand travels in `scalar_value`. Every backend
+  /// folds the members' values in canonical order, starting from the
+  /// caller's own value for max and from 0.0 for sum, and returns the result
+  /// in `op.scalar`.
   bool scalar_op = false;
   bool scalar_is_max = false;
   double scalar_value = 0.0;
@@ -173,45 +185,21 @@ class Transport {
   virtual Backend backend() const = 0;
   virtual const char* name() const = 0;
 
-  /// True when the transport moves bytes inside the shared-memory group
-  /// protocol (publish / barrier / read phase / barrier) — the in-process
-  /// Sim backend. False for distributed backends (MPI), which own the whole
-  /// op via execute() and never touch group barriers or clock slots.
-  virtual bool uses_group_protocol() const { return true; }
+  /// Run one collective end to end on the op's executing thread: move the
+  /// payload `a` describes among the members of `g`, then fill
+  /// `op.full_seconds`, `op.wire_bytes` and `op.done_clock` from the cost
+  /// model and, for scalar ops, `op.scalar`. Clocked ops (`op.clocked`)
+  /// start at max(group link-busy horizon, latest member post clock).
+  virtual void execute(GroupShared& g, const CollArgs& a, detail::CommOp& op) = 0;
 
-  /// True when Communicators over this transport may carry a SimClock.
-  /// The in-process transport exchanges post clocks through the group's
-  /// clock slots; a distributed transport must override this (and piggyback
-  /// the clock exchange on its own wire, see MpiTransport) to opt in. The
-  /// Communicator rejects a clock when this is false.
-  virtual bool supports_clock() const { return uses_group_protocol(); }
-
-  /// In-process data movement. Runs on the op's executing thread between the
-  /// group's protocol barriers; `g.slots[m]` holds member m's published
-  /// buffer (CollArgs::send if set, else recv). Implementations may run
-  /// extra `g.barrier` rounds (every member executes the same schedule) and
-  /// may publish additional pointers through `g.xfer_slots`.
-  virtual void move(GroupShared& g, const CollArgs& a);
-
-  /// Trailing writes to the member's *own* buffers, run after the protocol's
-  /// completion barrier (e.g. the all-reduce copy-back from scratch). The
-  /// next op's first barrier orders these writes before any peer reads.
-  virtual void finalize(GroupShared& g, const CollArgs& a);
-
-  /// Whole-op execution for non-protocol backends: perform the collective,
-  /// fill `op.full_seconds` / `op.done_clock` (cost-model time) and, for
-  /// scalar ops, `op.scalar`.
-  virtual void execute(GroupShared& g, const CollArgs& a, detail::CommOp& op);
-
-  /// Variable all-to-all for non-protocol backends: `send[m]` goes to member
+  /// Nested variable all-to-all, run like execute: `send[m]` goes to member
   /// m, `recv[m]` is resized and filled with member m's bytes. Must set
   /// `op.bytes` to the maximum per-member total send volume (the straggler
-  /// defines the exchange). The in-process backend exchanges the nested
-  /// vectors through the slot protocol instead (communicator.hpp).
+  /// defines the exchange).
   virtual void alltoallv(GroupShared& g, const CollArgs& a,
                          const std::vector<std::span<const unsigned char>>& send,
                          std::vector<std::vector<unsigned char>>& recv,
-                         detail::CommOp& op);
+                         detail::CommOp& op) = 0;
 };
 
 /// Backend name ("sim", "mpi") for logs and CLI flags. Thin wrapper over the

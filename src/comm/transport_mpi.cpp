@@ -88,8 +88,6 @@ class MpiTransport final : public Transport {
 
   Backend backend() const override { return Backend::Mpi; }
   const char* name() const override { return "mpi"; }
-  bool uses_group_protocol() const override { return false; }
-  bool supports_clock() const override { return true; }
 
   void execute(GroupShared& g, const CollArgs& a, detail::CommOp& op) override {
     MPI_Comm comm = comm_for(g, a.gid);

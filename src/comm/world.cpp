@@ -28,7 +28,7 @@ GroupId World::create_group(std::vector<int> members, LinkParams link,
   g->slots.assign(g->members.size(), nullptr);
   g->xfer_slots.assign(g->members.size(), nullptr);
   // First `size` entries publish member clocks; the next `size` entries carry
-  // scalar exchange values (see Communicator::aux_value).
+  // the aux values of SimTransport's exchanges (transport.cpp).
   g->clock_slots.assign(2 * g->members.size(), 0.0);
   groups_.push_back(std::move(g));
   return static_cast<GroupId>(groups_.size() - 1);

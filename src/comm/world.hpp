@@ -23,22 +23,30 @@ namespace plexus::comm {
 
 using GroupId = int;
 
-/// Shared per-group state. `slots` hold pointers published by members during a
-/// collective; `clock_slots` carry their simulated clocks for synchronisation.
-/// All mutable protocol state is per-group (guarded by the group's own op
-/// barriers), so collectives on *different* groups may execute concurrently
-/// on per-group comm channels without any cross-group synchronisation.
+/// Shared per-group state: the member list and link parameters every backend
+/// reads, plus the slots of the in-process group protocol, which only
+/// SimTransport touches (transport.cpp). `slots` hold pointers published by
+/// members during a collective; `clock_slots` carry their simulated clocks
+/// and aux values. All mutable protocol state is per-group (guarded by the
+/// group's own op barriers), so collectives on *different* groups may
+/// execute concurrently on per-group comm channels without any cross-group
+/// synchronisation.
 struct GroupShared {
   std::vector<int> members;  ///< global ranks, ascending
   LinkParams link;
   double a2a_distance_penalty = 1.0;
+  /// Sim only: the protocol barrier, one arrival per member.
   std::unique_ptr<std::barrier<>> barrier;
+  /// Sim only: member m's published buffer (CollArgs::send, else recv).
   std::vector<const void*> slots;
-  /// Secondary per-member pointer slots for per-op metadata a transport
-  /// must publish beyond the payload pointer (the flat all-to-all-v's
-  /// send counts). Written and read only between the op's protocol
-  /// barriers, bracketed by the transport's own extra barrier round.
+  /// Sim only: secondary per-member pointer slots for per-op metadata
+  /// beyond the payload pointer (the flat all-to-all-v's send counts).
+  /// Written and read only between the op's protocol barriers, bracketed by
+  /// an extra barrier round.
   std::vector<const void*> xfer_slots;
+  /// Sim only: 2 * members entries. The first half holds the members' post
+  /// clocks; the second half their aux values (a variable all-to-all's send
+  /// volume, a scalar reduction's operand).
   std::vector<double> clock_slots;
   /// Comm-channel routing class. Line groups of the 3D grid are tagged with
   /// their *family* (X = 0, Y = 1, Z = 2) so a rank's own three line groups
@@ -47,9 +55,10 @@ struct GroupShared {
   int channel_hint = -1;
   /// Sim instant until which this group's ring links are occupied by the
   /// latest collective. Serialises overlapping (pipelined) collectives on the
-  /// same group: a collective starts no earlier than this horizon. Written by
-  /// group member 0 in each op's read phase, read by members when publishing
-  /// the next op — the two accesses are separated by the op barriers.
+  /// same group: a collective starts no earlier than this horizon. Under Sim,
+  /// written by group member 0 in each op's read phase and read by members
+  /// when publishing the next op — the two accesses are separated by the op
+  /// barriers. Each MPI process keeps its own group-uniform copy.
   double link_busy_until = 0.0;
 
   int size() const { return static_cast<int>(members.size()); }

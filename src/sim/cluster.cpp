@@ -29,7 +29,7 @@ void run_cluster(comm::World& world, const Machine& machine, const RankFn& fn,
   const int threads_per_rank = resolve_intra_rank_threads(intra_rank_threads, size);
   comm::Transport& t =
       transport != nullptr ? *transport : comm::transport_for(comm::default_backend());
-  PLEXUS_CHECK(t.uses_group_protocol(),
+  PLEXUS_CHECK(t.backend() == comm::Backend::Sim,
                "run_cluster simulates ranks as in-process threads; distributed "
                "transports need one process per rank");
   std::vector<std::thread> threads;
@@ -74,11 +74,9 @@ void run_cluster(comm::World& world, const Machine& machine, const RankFn& fn,
 void run_distributed_rank(comm::World& world, const Machine& machine, int my_rank,
                           const RankFn& fn, comm::Transport& transport, bool enable_clock,
                           int intra_rank_threads) {
-  PLEXUS_CHECK(!transport.uses_group_protocol(),
+  PLEXUS_CHECK(transport.backend() != comm::Backend::Sim,
                "run_distributed_rank drives one process per rank; in-process "
                "transports belong in run_cluster");
-  PLEXUS_CHECK(!enable_clock || transport.supports_clock(),
-               "this transport cannot carry a SimClock");
   util::set_intra_rank_threads(resolve_intra_rank_threads(intra_rank_threads, world.size()));
   RankContext ctx{comm::Communicator(world, my_rank, nullptr, &transport), comm::SimClock{},
                   &machine};

@@ -43,9 +43,9 @@ int resolve_intra_rank_threads(int requested, int num_ranks);
 /// Each rank thread's kernel engine is set to
 /// resolve_intra_rank_threads(intra_rank_threads, world.size()) threads.
 /// `transport` selects the byte-movement backend for every rank's
-/// communicator (null = transport_for(default_backend())); it must be an
-/// in-process transport — ranks here are threads of one process, so a
-/// distributed backend (MPI) needs its own one-process-per-rank launcher.
+/// communicator (null = transport_for(default_backend())); it must be the
+/// Sim backend, whose group protocol runs between threads of one process —
+/// a distributed backend (MPI) needs its own one-process-per-rank launcher.
 /// Throws the first rank exception encountered.
 void run_cluster(comm::World& world, const Machine& machine, const RankFn& fn,
                  bool enable_clock = true, int intra_rank_threads = 0,
@@ -53,10 +53,10 @@ void run_cluster(comm::World& world, const Machine& machine, const RankFn& fn,
 
 /// Run `fn` as *this process's* single rank of a multi-process cluster: the
 /// one-process-per-rank counterpart of run_cluster for distributed
-/// (non-protocol) transports such as MPI. Every launched process must call
-/// this with an identically-shaped `world` and its own `my_rank` (= MPI
-/// rank). `enable_clock` requires `transport.supports_clock()` (the MPI
-/// backend piggybacks the clock exchange on its collectives). The kernel
+/// transports (any backend but Sim, i.e. MPI). Every launched process must
+/// call this with an identically-shaped `world` and its own `my_rank`
+/// (= MPI rank). With `enable_clock` the MPI backend piggybacks the clock
+/// exchange on its collectives. The kernel
 /// engine still divides the host budget by `world.size()` — mpirun places all
 /// ranks on one host in the CI/dev setups this targets; pass an explicit
 /// `intra_rank_threads` for true multi-node launches. Rank exceptions

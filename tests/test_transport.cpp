@@ -461,8 +461,6 @@ TEST(BackendRegistry, ScopedOverrideRestores) {
 TEST(BackendRegistry, TransportProperties) {
   auto& sim = pc::transport_for(pc::Backend::Sim);
   EXPECT_STREQ(sim.name(), "sim");
-  EXPECT_TRUE(sim.uses_group_protocol());
-  EXPECT_TRUE(sim.supports_clock());
   EXPECT_EQ(sim.backend(), pc::Backend::Sim);
   if (!pc::mpi_transport_available()) {
     EXPECT_THROW(pc::transport_for(pc::Backend::Mpi), std::runtime_error);
@@ -470,8 +468,6 @@ TEST(BackendRegistry, TransportProperties) {
   } else {
     auto& mpi = pc::transport_for(pc::Backend::Mpi);
     EXPECT_STREQ(mpi.name(), "mpi");
-    EXPECT_FALSE(mpi.uses_group_protocol());
-    EXPECT_TRUE(mpi.supports_clock());
     EXPECT_EQ(mpi.backend(), pc::Backend::Mpi);
     EXPECT_EQ(pc::backend_choices(), "sim | mpi");
   }
