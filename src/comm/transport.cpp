@@ -107,9 +107,9 @@ void flat_alltoallv_move(GroupShared& g, const CollArgs& a) {
 }
 
 /// The in-process backend: every op runs the group protocol (run_protocol)
-/// and peers read each other's published buffers directly. Same memcpy
-/// pattern and canonical (member 0..G-1) float summation order as the
-/// original Communicator loops, so every determinism test pins it.
+/// and peers read each other's published buffers directly. Reductions fold
+/// in canonical member order (0..G-1); the determinism tests pin this
+/// backend as the reference.
 class SimTransport final : public Transport {
  public:
   Backend backend() const override { return Backend::Sim; }
